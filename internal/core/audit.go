@@ -64,10 +64,11 @@ func (m *Mesh) randomLiveNode(rng *rand.Rand) *Node {
 // soft-state refresh of Section 6.5.
 func (m *Mesh) RunMaintenanceEpoch(cost *netsim.Cost) {
 	now := m.net.Tick()
-	for _, n := range m.Nodes() {
+	nodes := m.Nodes()
+	for _, n := range nodes {
 		n.expirePointers(now)
 	}
-	for _, n := range m.Nodes() {
+	for _, n := range nodes {
 		n.RepublishAll(cost)
 	}
 }
@@ -111,14 +112,15 @@ func (m *Mesh) AuditProperty1() []string {
 		})
 	}
 	for _, n := range m.Nodes() {
-		for level, ents := range n.snapshotTable() {
-			for _, e := range ents {
+		// Table order (level, digit, rank), so the report is stable.
+		n.lockedView(func(t *route.Table) {
+			t.ForEachNeighbor(func(level int, e route.Entry) {
 				if peer := m.NodeByID(e.ID); peer == nil || peer.addr != e.Addr {
 					violations = append(violations,
 						fmt.Sprintf("node %v: stale entry %v at level %d", n.id, e.ID, level))
 				}
-			}
-		}
+			})
+		})
 	}
 	return violations
 }

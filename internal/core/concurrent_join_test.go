@@ -104,3 +104,77 @@ func TestConcurrentJoinsUnderQueryLoad(t *testing.T) {
 		}
 	}
 }
+
+// TestNodesOrderedUnderConcurrentMembership hammers the ID-ordered membership
+// list behind Mesh.Nodes from several goroutines at once: writers register
+// and unregister nodes while readers snapshot. Every snapshot must be
+// strictly ascending by ID (no duplicate, no misplaced entry), and once the
+// writers stop the list must equal the registry exactly.
+func TestNodesOrderedUnderConcurrentMembership(t *testing.T) {
+	const writers, perWriter = 4, 200
+	net := netsim.New(metric.NewRing(writers * perWriter))
+	m, err := NewMesh(net, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Nodes() // build the list, so every change below is incremental
+
+	stop := make(chan struct{})
+	var readers, ws sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				nodes := m.Nodes()
+				for i := 1; i < len(nodes); i++ {
+					if !nodes[i-1].id.Less(nodes[i].id) {
+						t.Errorf("Nodes() not strictly ascending at %d: %v then %v", i, nodes[i-1].id, nodes[i].id)
+						return
+					}
+				}
+			}
+		}()
+	}
+	kept := make([][]*Node, writers)
+	for w := 0; w < writers; w++ {
+		ws.Add(1)
+		go func(w int) {
+			defer ws.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < perWriter; i++ {
+				n := m.newNode(m.freshID(rng), netsim.Addr(w*perWriter+i))
+				if err := m.publish(n); err != nil {
+					continue // two writers drew the same fresh ID; the loser is never listed
+				}
+				if i%3 == 0 {
+					m.unregister(n)
+				} else {
+					kept[w] = append(kept[w], n)
+				}
+			}
+		}(w)
+	}
+	ws.Wait()
+	close(stop)
+	readers.Wait()
+
+	want := 0
+	for _, ns := range kept {
+		want += len(ns)
+	}
+	nodes := m.Nodes()
+	if len(nodes) != want || m.Size() != want {
+		t.Fatalf("Nodes() lists %d, Size() %d, want %d", len(nodes), m.Size(), want)
+	}
+	for _, n := range nodes {
+		if m.NodeByID(n.id) != n {
+			t.Fatalf("Nodes() lists %v, which the registry does not hold", n.id)
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"tapestry/internal/ids"
 	"tapestry/internal/metric"
 	"tapestry/internal/netsim"
+	"tapestry/internal/route"
 )
 
 // freeAddr returns an address in the mesh's space not hosting a node.
@@ -505,5 +506,61 @@ func TestSweepDeadCountsAndRepairs(t *testing.T) {
 	}
 	if v := m.AuditProperty1(); len(v) != 0 {
 		t.Fatalf("Property 1 violated after sweep:\n%v", v[:min(5, len(v))])
+	}
+}
+
+// TestLocateBouncesToVisitedSurrogate: Figure 10's bounce must work when the
+// inserting node's pre-insertion surrogate is a node the query already passed
+// — here the client itself, which is what a surrogate sees for its own
+// queries the moment it pins a joiner. The client's first hop is the
+// inserter (empty table, no pointers); the bounce returns to the client,
+// which re-decides as if the inserter were absent and finds the object.
+// Before the fix the loop memory refused the bounce and the locate reported a
+// clean miss for the whole insertion window.
+func TestLocateBouncesToVisitedSurrogate(t *testing.T) {
+	m, nodes := buildMesh(t, 40, testConfig(), 21)
+	server := nodes[0]
+	g := testSpec.Hash("bounce-object")
+	if err := server.Publish(g, nil); err != nil {
+		t.Fatal(err)
+	}
+	var client *Node
+	for _, c := range nodes[1:] {
+		c.mu.Lock()
+		_, holds := c.objects[g]
+		c.mu.Unlock()
+		if !holds {
+			client = c
+			break
+		}
+	}
+	if client == nil {
+		t.Fatal("every node holds a pointer for the object")
+	}
+	if res := client.Locate(g, nil); !res.Found {
+		t.Fatal("object unlocatable before the insertion")
+	}
+
+	// An inserter whose ID is the object's key is the best next hop for it
+	// from anywhere; register it mid-insertion with the client as its
+	// pre-insertion surrogate and pin it into the client's table as
+	// joinSnapshot would (distance 0 makes it the slot's primary).
+	addr := freeAddr(m)
+	alpha := g.Prefix(ids.CommonPrefixLen(g, client.id))
+	inserter, err := m.register(g, addr, alpha, client.entryFor(addr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	client.mu.Lock()
+	added, _ := client.table.Add(alpha.Len(), route.Entry{ID: inserter.id, Addr: addr, Pinned: true})
+	dec := client.nextHop(g, 0, ids.ID{}, nil)
+	client.mu.Unlock()
+	if !added || dec.terminal || !dec.next.ID.Equal(inserter.id) {
+		t.Fatalf("set-up: the client's next hop for the key is %v (terminal=%v), want the inserter", dec.next.ID, dec.terminal)
+	}
+
+	res := client.Locate(g, nil)
+	if !res.Found || !res.Server.Equal(server.id) {
+		t.Fatalf("locate through an inserter whose surrogate is the client: %+v", res)
 	}
 }

@@ -199,3 +199,92 @@ func TestCoreEventStormHealthy(t *testing.T) {
 		t.Fatalf("Property 1 violated after event-driven churn:\n%v", v[:min(5, len(v))])
 	}
 }
+
+// runTuneTimeline degrades a static mesh's tables, attaches the event engine
+// and runs one mesh-wide TuneEpoch while a dozen nodes re-order their own
+// sets at overlapping virtual times, so probes from different operations
+// queue behind each other at their receivers. Every operation logs its
+// message count and virtual span: the timeline depends on the order each
+// node probes its neighbors in, not just on how many it probes.
+func runTuneTimeline(t *testing.T, seed int64) string {
+	t.Helper()
+	cfg := testConfig()
+	rng := rand.New(rand.NewSource(seed))
+	space := metric.NewRing(1024)
+	net := netsim.New(space)
+	perm := rng.Perm(space.Size())
+	addrs := make([]netsim.Addr, 40)
+	for i := range addrs {
+		addrs[i] = netsim.Addr(perm[i])
+	}
+	m, err := BuildStatic(net, cfg, StaticParticipants(cfg.Spec, addrs, rng))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := m.Nodes()
+	for i := 0; i < 8; i++ {
+		if err := nodes[rng.Intn(len(nodes))].Publish(cfg.Spec.Hash(fmt.Sprintf("tune-%d", i)), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if degradeTables(m) == 0 {
+		t.Fatal("nothing degraded; test is vacuous")
+	}
+
+	e := netsim.NewEngine(seed)
+	net.AttachEngine(e)
+	var trace strings.Builder
+	span := func(c *netsim.Cost) string {
+		begin, end, _ := c.VirtualSpan()
+		msgs, _, dist := c.Snapshot()
+		return fmt.Sprintf("msgs=%d dist=%.6f span=[%.6f, %.6f]", msgs, dist, begin, end)
+	}
+	e.At(1, func() {
+		var c netsim.Cost
+		reordered, adopted := m.TuneEpoch(&c)
+		fmt.Fprintf(&trace, "tune reordered=%d adopted=%d %s\n", reordered, adopted, span(&c))
+	})
+	for i := 0; i < 12; i++ {
+		n := nodes[(i*7)%len(nodes)]
+		e.At(1+float64(i)*3, func() {
+			var c netsim.Cost
+			changed := n.ReorderNeighborSets(&c)
+			fmt.Fprintf(&trace, "reorder %v changed=%d %s\n", n.id, changed, span(&c))
+		})
+	}
+	e.Run()
+	trace.WriteString(meshFingerprint(m))
+	return trace.String()
+}
+
+// TestTuneEpochTimelineDeterministic: twin meshes tuned under the
+// event-driven engine must produce the same Cost timeline. The neighbor
+// probes of ReorderNeighborSets used to run in map-iteration order, which
+// left message counts alone but moved every virtual timestamp.
+func TestTuneEpochTimelineDeterministic(t *testing.T) {
+	a := runTuneTimeline(t, 71)
+	for i := 0; i < 4; i++ {
+		if b := runTuneTimeline(t, 71); a != b {
+			t.Fatalf("twin TuneEpoch timelines diverged:\n--- run 1 ---\n%s\n--- run %d ---\n%s", a, i+2, b)
+		}
+	}
+}
+
+// TestAuditProperty1Stable: the audit's report is a function of the mesh, not
+// of map-iteration order — crashed nodes leave stale entries at several
+// levels of many tables, and twenty audits must list them identically.
+func TestAuditProperty1Stable(t *testing.T) {
+	m, nodes := buildMesh(t, 48, testConfig(), 73)
+	for i := 3; i < len(nodes); i += 7 {
+		m.Fail(nodes[i])
+	}
+	first := strings.Join(m.AuditProperty1(), "\n")
+	if !strings.Contains(first, "stale entry") {
+		t.Fatal("no stale entries after crashes; test is vacuous")
+	}
+	for i := 0; i < 20; i++ {
+		if again := strings.Join(m.AuditProperty1(), "\n"); again != first {
+			t.Fatalf("AuditProperty1 call %d differs from the first:\n--- first ---\n%s\n--- again ---\n%s", i+2, first, again)
+		}
+	}
+}

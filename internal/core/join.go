@@ -142,25 +142,44 @@ func (s *Node) joinSnapshot(q *wire.JoinSnapshotReq, r *wire.JoinSnapshotResp, c
 // order — and eviction tie-breaks among equal-distance candidates —
 // deterministic.
 func (n *Node) installPreliminary(surrogate *Node, rows []wire.LeveledEntry, cost *netsim.Cost) {
-	addAtAllLevels := func(e route.Entry) {
-		if e.ID.Equal(n.id) {
-			return
-		}
-		e.Distance = n.mesh.net.Distance(n.addr, e.Addr)
-		e.Pinned, e.Leaving = false, false
-		max := ids.CommonPrefixLen(n.id, e.ID)
-		for l := 0; l <= max && l < n.table.Levels(); l++ {
-			n.addNeighborAndNotify(l, e, cost)
-		}
-	}
-	addAtAllLevels(surrogate.entryFor(n.addr))
+	// Measure first, outside the lock.
+	raw := make([]route.Entry, 0, len(rows)+1)
+	raw = append(raw, surrogate.entryFor(n.addr))
 	seen := map[ids.ID]struct{}{}
 	for _, r := range rows {
 		if _, dup := seen[r.E.ID]; dup {
 			continue
 		}
 		seen[r.E.ID] = struct{}{}
-		addAtAllLevels(r.E)
+		raw = append(raw, r.E)
+	}
+	cands := n.measureAll(raw, 0)
+
+	// The whole table goes in under one hold of the lock and the backpointer
+	// notifications follow in the same order: the node is reachable from the
+	// moment it registers (its surrogate has it pinned), and a query deciding
+	// a hop here must see either the empty table — it terminates at once and
+	// bounces to the pre-insertion surrogate (Figure 10) — or the complete
+	// preliminary one, never a half-copied table whose holes resolve digits
+	// by staying put and strand the query at a wrong root.
+	type link struct {
+		level   int
+		e       route.Entry
+		added   bool
+		evicted []route.Entry
+	}
+	var links []link
+	n.mu.Lock()
+	for _, e := range cands {
+		max := ids.CommonPrefixLen(n.id, e.ID)
+		for l := 0; l <= max && l < n.table.Levels(); l++ {
+			added, evicted := n.table.Add(l, e)
+			links = append(links, link{l, e, added, evicted})
+		}
+	}
+	n.mu.Unlock()
+	for _, ln := range links {
+		n.notifyLinkChange(ln.level, ln.e, ln.added, ln.evicted, cost)
 	}
 }
 
@@ -288,10 +307,11 @@ func (n *Node) measureAll(cands []route.Entry, level int) []route.Entry {
 // level, and re-adding an unchanged entry would re-send its backpointer
 // registration (Table.Add reports an update-in-place as added).
 func (n *Node) buildTableFromList(list []route.Entry, minLevel int, cost *netsim.Cost) {
+	var buf [16]int // levels missing one entry: stack-resident for any realistic spec
 	for _, e := range list {
 		max := ids.CommonPrefixLen(n.id, e.ID)
 		n.mu.Lock()
-		var missing []int
+		missing := buf[:0]
 		for l := minLevel; l <= max && l < n.table.Levels(); l++ {
 			if !n.table.Contains(l, e.ID) {
 				missing = append(missing, l)

@@ -2,36 +2,25 @@ package core
 
 import (
 	"errors"
-	"sort"
+	"slices"
 
 	"tapestry/internal/ids"
 	"tapestry/internal/netsim"
 	"tapestry/internal/route"
 )
 
-// sortedLevels returns the level keys of a per-level entry map (AllBacks,
-// snapshotTable) in ascending order. These are maps; iterating them directly
-// would make notification and repair order — and therefore eviction
-// tie-breaks and message costs at every peer — nondeterministic
-// map-iteration order.
-func sortedLevels(byLevel map[int][]route.Entry) []int {
-	levels := make([]int, 0, len(byLevel))
-	for l := range byLevel {
-		levels = append(levels, l)
-	}
-	sort.Ints(levels)
-	return levels
-}
-
 // sortedGUIDs returns the keys of a node's object-pointer map in ascending
-// ID order, for the same reason: pointer re-routing order must not be
-// map-iteration order.
+// ID order: the pointer store is the one per-node structure still kept in a
+// map, and pointer re-routing order — which decides convergence teardowns and
+// message costs at every peer — must not be map-iteration order. (Table state
+// needs no such helper: route.Table stores its sets and backpointers in
+// canonical order.)
 func sortedGUIDs(objects map[ids.ID]*objState) []ids.ID {
 	guids := make([]ids.ID, 0, len(objects))
 	for g := range objects {
 		guids = append(guids, g)
 	}
-	sort.Slice(guids, func(i, j int) bool { return guids[i].Less(guids[j]) })
+	slices.SortFunc(guids, ids.ID.Compare)
 	return guids
 }
 
@@ -56,17 +45,20 @@ func (n *Node) Leave(cost *netsim.Cost) error {
 		return errors.New("core: node already gone")
 	}
 	n.state = stateLeaving
-	backs := n.table.AllBacks()
+	backs := n.backsByLevel()
 	n.mu.Unlock()
 
 	// Phase 1: leaving notification with per-level replacements. The
 	// holder-side work runs in the LeaveNotify dispatch handler
 	// (onPeerLeaving); dead holders are skipped, as before.
 	f := n.mesh.getFrames()
-	for _, level := range sortedLevels(backs) {
+	for level, holders := range backs {
+		if len(holders) == 0 {
+			continue
+		}
 		f.leave.Leaver, f.leave.Level = n.id, level
 		f.leave.Replacements = n.replacementsAt(level)
-		for _, h := range backs[level] {
+		for _, h := range holders {
 			_, _ = n.mesh.oneWayMsg(n.addr, h, &f.leave, cost)
 		}
 	}
@@ -108,7 +100,7 @@ func (n *Node) Leave(cost *netsim.Cost) error {
 
 	// Phase 3: final delete — everyone who links to or from n forgets it.
 	n.mu.Lock()
-	backs = n.table.AllBacks()
+	backs = n.backsByLevel()
 	var forwards []route.Entry
 	n.table.ForEachNeighbor(func(_ int, e route.Entry) { forwards = append(forwards, e) })
 	n.state = stateDead
@@ -116,8 +108,8 @@ func (n *Node) Leave(cost *netsim.Cost) error {
 
 	seen := map[ids.ID]struct{}{}
 	f.deleted.ID = n.id
-	for _, level := range sortedLevels(backs) {
-		for _, h := range backs[level] {
+	for _, holders := range backs {
+		for _, h := range holders {
 			if _, ok := seen[h.ID]; ok {
 				continue
 			}
@@ -139,6 +131,19 @@ func (n *Node) Leave(cost *netsim.Cost) error {
 	n.mesh.net.Detach(n.addr)
 	n.mesh.unregister(n)
 	return nil
+}
+
+// backsByLevel returns the node's backpointer holders indexed by level,
+// closest holder first within a level — the order Leave notifies them in. The
+// caller holds n.mu.
+func (n *Node) backsByLevel() [][]route.Entry {
+	backs := make([][]route.Entry, n.table.Levels())
+	for l := range backs {
+		if n.table.BackCount(l) > 0 {
+			backs[l] = n.table.Backs(l)
+		}
+	}
+	return backs
 }
 
 // replacementsAt returns the departing node's slot-mates at (level, own

@@ -25,7 +25,9 @@ import (
 // Both preserve the unbatched semantics — SweepDead's per-level dead-link
 // counts and publishPath's deposit/convergence/teardown behavior — and both
 // stay deterministic: nodes in ID order, records in (GUID, salt) order,
-// next-hop groups in first-seen order.
+// next-hop groups in first-seen order — each read off the storage that keeps
+// it (Mesh.Nodes, PublishedObjects, the caravan's group chains), with no map
+// iterated and nothing re-sorted per call.
 
 // SweepDeadAll runs the Section 6.5 heartbeat for every node with epoch-wide
 // probe coalescing: each distinct neighbor is probed once (by the first node
@@ -34,35 +36,107 @@ import (
 // the per-node sweep uses — per-level removal counts and repair behavior are
 // identical, only the redundant probes are gone. Returns the total number of
 // dead links removed across the mesh.
+//
+// Order comes from the storage: nodes in ID order (Mesh.Nodes), each node's
+// links in the table's own (level, digit, rank) order through one reusable
+// flat snapshot — the order Node.SweepDead probes in, so repairs (and with
+// them eviction tie-breaks) run as in the unbatched sweep. A neighbor held at
+// several levels needs no per-node dedup here: a live one costs a verdict
+// lookup, and a corpse's second noteDead finds nothing left to remove.
 func (m *Mesh) SweepDeadAll(cost *netsim.Cost) int {
 	verdict := map[ids.ID]bool{}
 	removed := 0
+	var links []route.Entry
 	for _, n := range m.Nodes() {
-		// Per-node iteration mirrors Node.SweepDead: ascending level order
-		// over a snapshot, each distinct neighbor considered once, so the
-		// order repairs run in (and with it eviction tie-breaks) matches the
-		// unbatched sweep's determinism contract.
-		neighbors := n.snapshotTable()
-		seen := map[ids.ID]struct{}{}
-		for _, l := range sortedLevels(neighbors) {
-			for _, e := range neighbors[l] {
-				if _, dup := seen[e.ID]; dup {
-					continue
-				}
-				seen[e.ID] = struct{}{}
-				alive, probed := verdict[e.ID]
-				if !probed {
-					_, err := m.invoke(n.addr, e, msgPing, msgAck, cost, false)
-					alive = err == nil
-					verdict[e.ID] = alive
-				}
-				if !alive {
-					removed += n.noteDead(e, cost)
-				}
+		links = n.appendNeighbors(links[:0])
+		for _, e := range links {
+			alive, probed := verdict[e.ID]
+			if !probed {
+				_, err := m.invoke(n.addr, e, msgPing, msgAck, cost, false)
+				alive = err == nil
+				verdict[e.ID] = alive
+			}
+			if !alive {
+				removed += n.noteDead(e, cost)
 			}
 		}
 	}
 	return removed
+}
+
+// caravanScratch is republishBatched's reusable state, recycled with the
+// operation's msgFrames so a steady-state epoch allocates none of it. recs is
+// an arena: every batch — the server's initial one and each group forwarded
+// to a next hop — is a contiguous window of it, written once when the batch
+// is formed and never copied again. Records of the batch being decided are
+// chained into next-hop groups through link (record index -> next record of
+// the same group), so grouping needs no map and no per-group slice.
+type caravanScratch struct {
+	recs      []wire.PubRec
+	queue     []caravanBatch
+	groups    []caravanGroup
+	link      []int // per record of the current batch: next record in its group, -1 at the tail
+	nextLevel []int // per record: digits-resolved counter after the decided hop
+	terminals []int
+	stale     []staleTrail
+}
+
+// caravanBatch is the window recs[lo:hi] waiting to be visited at node.
+type caravanBatch struct {
+	node   *Node
+	lo, hi int
+}
+
+// caravanGroup is the records of one batch that leave through the same next
+// hop, chained head -> ... -> tail in first-seen order.
+type caravanGroup struct {
+	next       route.Entry
+	head, tail int
+}
+
+// staleTrail is a convergence found while depositing: record rec met an older
+// trail arriving from (hop, addr), to be torn down backwards.
+type staleTrail struct {
+	rec  int
+	hop  ids.ID
+	addr netsim.Addr
+}
+
+// decide makes the routing decision for the records of batch b chained from
+// head (indices relative to b.lo), under one hold of cur's lock. Terminal
+// records join sc.terminals; the rest are grouped by next hop in first-seen
+// order into NEW groups appended to sc.groups — a re-decide after a dead hop
+// never merges into a group formed by an earlier decision, which may already
+// have been sent.
+func (sc *caravanScratch) decide(cur *Node, b caravanBatch, head int, deadSet map[ids.ID]struct{}) {
+	from := len(sc.groups)
+	cur.mu.Lock()
+	for i := head; i >= 0; {
+		following := sc.link[i]
+		sc.link[i] = -1
+		r := &sc.recs[b.lo+i]
+		dec := cur.nextHop(r.Key, r.Level, ids.ID{}, deadSet)
+		if dec.terminal {
+			sc.terminals = append(sc.terminals, i)
+		} else {
+			// nextLevel is the counter after the decided hop; the record's own
+			// Level stays the arrival level so a failed hop re-decides from
+			// the same state routeToKey would.
+			sc.nextLevel[i] = dec.nextLevel
+			gi := from
+			for gi < len(sc.groups) && !sc.groups[gi].next.ID.Equal(dec.next.ID) {
+				gi++
+			}
+			if gi == len(sc.groups) {
+				sc.groups = append(sc.groups, caravanGroup{next: dec.next, head: i, tail: i})
+			} else {
+				sc.link[sc.groups[gi].tail] = i
+				sc.groups[gi].tail = i
+			}
+		}
+		i = following
+	}
+	cur.mu.Unlock()
 }
 
 // republishBatched re-lays the publish paths of the given served objects,
@@ -74,32 +148,34 @@ func (m *Mesh) SweepDeadAll(cost *netsim.Cost) int {
 func (n *Node) republishBatched(guids []ids.ID, cost *netsim.Cost) {
 	spec := n.mesh.cfg.Spec
 	now := n.mesh.net.Epoch()
-	recs := make([]wire.PubRec, 0, len(guids)*n.mesh.cfg.RootSetSize)
-	for _, g := range guids {
-		for i := 0; i < n.mesh.cfg.RootSetSize; i++ {
-			recs = append(recs, wire.PubRec{GUID: g, Key: spec.Salt(g, i), PrevAddr: n.addr, Salt: i})
-		}
-	}
-
-	type batch struct {
-		node *Node
-		recs []wire.PubRec
-	}
 	maxHops := n.table.Levels()*n.table.Base() + 8 // same loop guard as routeToKey
 	cf := n.mesh.getFrames()
 	cf.caravan.Server, cf.caravan.ServerAddr = n.id, n.addr
-	queue := []batch{{n, recs}}
-	for len(queue) > 0 {
-		b := queue[0]
-		queue = queue[1:]
-		cur := b.node
+	sc := &cf.batch
+	sc.recs, sc.queue = sc.recs[:0], sc.queue[:0]
+	for _, g := range guids {
+		for i := 0; i < n.mesh.cfg.RootSetSize; i++ {
+			sc.recs = append(sc.recs, wire.PubRec{GUID: g, Key: spec.Salt(g, i), PrevAddr: n.addr, Salt: i})
+		}
+	}
+	sc.queue = append(sc.queue, caravanBatch{n, 0, len(sc.recs)})
 
-		// Visit: deposit every record at this node; a changed lastHop on an
-		// existing record means this path converged onto a stale trail,
-		// which is torn down backwards (Figure 9) exactly as in publishPath.
-		for i := range b.recs {
-			r := &b.recs[i]
-			rec := pointerRec{
+	for qi := 0; qi < len(sc.queue); qi++ {
+		b := sc.queue[qi]
+		cur := b.node
+		// Hops that failed from THIS node; a verdict is not carried to the
+		// next node's decisions (a partition cuts links, not hosts).
+		var deadSet map[ids.ID]struct{}
+
+		// Visit: deposit every record at this node under one hold of its
+		// lock; a changed lastHop on an existing record means this path
+		// converged onto a stale trail, which is torn down backwards (Figure
+		// 9) exactly as in publishPath, once the lock is released.
+		sc.stale = sc.stale[:0]
+		cur.mu.Lock()
+		for i := b.lo; i < b.hi; i++ {
+			r := &sc.recs[i]
+			old, existed := cur.depositLocked(pointerRec{
 				guid:       r.GUID,
 				server:     n.id,
 				serverAddr: n.addr,
@@ -108,91 +184,70 @@ func (n *Node) republishBatched(guids []ids.ID, cost *netsim.Cost) {
 				lastAddr:   r.PrevAddr,
 				level:      r.Level,
 				epoch:      now,
-			}
-			old, existed := cur.depositPointer(rec)
+			})
 			if existed && !old.lastHop.IsZero() && !old.lastHop.Equal(r.PrevID) {
-				cur.deleteBackward(r.GUID, r.Key, n.id, old.lastHop, old.lastAddr, n.id, cost)
+				sc.stale = append(sc.stale, staleTrail{i, old.lastHop, old.lastAddr})
 			}
 		}
-
-		// Decide next hops for the whole batch under one lock, group records
-		// by next node in first-seen order, and forward each group with a
-		// single message. A dead next hop is noted once and its group's
-		// records re-decided with the corpse excluded, like routeToKey's
-		// retry-through-secondaries.
-		// nextLevels[i] is record i's digits-resolved counter after the
-		// decided hop; recs[i].level itself stays the arrival level so a
-		// failed hop re-decides from the same state routeToKey would.
-		var deadSet map[ids.ID]struct{}
-		nextLevels := make([]int, len(b.recs))
-		type group struct {
-			next route.Entry
-			idxs []int
-		}
-		decide := func(idxs []int) (terminals []int, groups []*group) {
-			byNext := map[ids.ID]*group{}
-			cur.mu.Lock()
-			for _, i := range idxs {
-				dec := cur.nextHop(b.recs[i].Key, b.recs[i].Level, ids.ID{}, deadSet)
-				if dec.terminal {
-					terminals = append(terminals, i)
-					continue
-				}
-				nextLevels[i] = dec.nextLevel
-				g := byNext[dec.next.ID]
-				if g == nil {
-					g = &group{next: dec.next}
-					byNext[dec.next.ID] = g
-					groups = append(groups, g)
-				}
-				g.idxs = append(g.idxs, i)
-			}
-			cur.mu.Unlock()
-			return terminals, groups
+		cur.mu.Unlock()
+		for _, st := range sc.stale {
+			r := &sc.recs[st.rec]
+			cur.deleteBackward(r.GUID, r.Key, n.id, st.hop, st.addr, n.id, cost)
 		}
 
-		all := make([]int, len(b.recs))
-		for i := range all {
-			all[i] = i
+		// Decide next hops for the whole batch, group records by next node in
+		// first-seen order, and forward each group with a single message. A
+		// dead next hop is noted once and its group's records re-decided with
+		// the corpse excluded, like routeToKey's retry-through-secondaries;
+		// the new groups append to the worklist and new terminals join the
+		// batch's terminal set.
+		count := b.hi - b.lo
+		sc.link = sc.link[:0]
+		for i := 1; i < count; i++ {
+			sc.link = append(sc.link, i)
 		}
-		terminals, groups := decide(all)
+		sc.link = append(sc.link, -1)
+		if cap(sc.nextLevel) < count {
+			sc.nextLevel = make([]int, count)
+		}
+		sc.nextLevel = sc.nextLevel[:count]
+		sc.groups, sc.terminals = sc.groups[:0], sc.terminals[:0]
+		sc.decide(cur, b, 0, deadSet)
 
-		for gi := 0; gi < len(groups); gi++ {
-			g := groups[gi]
+		for gi := 0; gi < len(sc.groups); gi++ {
+			g := sc.groups[gi]
 			// The forwarded records ride the CaravanStep hop itself (one
-			// message per distinct next hop, as before).
-			sub := make([]wire.PubRec, 0, len(g.idxs))
-			for _, i := range g.idxs {
-				r := b.recs[i]
-				r.Level = nextLevels[i]
-				r.PrevID, r.PrevAddr = cur.id, cur.addr
-				r.Hops++
-				if r.Hops > maxHops {
+			// message per distinct next hop, as before): the group's window
+			// of the arena is both the message body and the next batch.
+			lo := len(sc.recs)
+			for i := g.head; i >= 0; i = sc.link[i] {
+				if sc.recs[b.lo+i].Hops >= maxHops {
 					continue // inconsistent mesh; drop like RepublishAll drops errors
 				}
-				sub = append(sub, r)
+				sc.recs = append(sc.recs, sc.recs[b.lo+i])
+				r := &sc.recs[len(sc.recs)-1]
+				r.Level = sc.nextLevel[i]
+				r.PrevID, r.PrevAddr = cur.id, cur.addr
+				r.Hops++
 			}
-			cf.caravan.Recs = sub
+			cf.caravan.Recs = sc.recs[lo:]
 			next, err := n.mesh.invoke(cur.addr, g.next, &cf.caravan, msgAck, cost, true)
 			if err != nil {
+				sc.recs = sc.recs[:lo]
 				if deadSet == nil {
 					deadSet = make(map[ids.ID]struct{}, 2)
 				}
 				deadSet[g.next.ID] = struct{}{}
 				cur.noteDead(g.next, cost)
-				// Re-decide just this group's records; new groups append to
-				// the worklist and terminals join the batch's terminal set.
-				t2, g2 := decide(g.idxs)
-				terminals = append(terminals, t2...)
-				groups = append(groups, g2...)
+				sc.decide(cur, b, g.head, deadSet)
 				continue
 			}
-			if len(sub) > 0 {
-				queue = append(queue, batch{next, sub})
+			if len(sc.recs) > lo {
+				sc.queue = append(sc.queue, caravanBatch{next, lo, len(sc.recs)})
 			}
 		}
 
-		handleTerminalRecords(n, cur, b.recs, terminals, cost)
+		handleTerminalRecords(n, cur, sc.recs[b.lo:b.hi], sc.terminals, cost)
 	}
 	cf.caravan.Recs = nil
 	n.mesh.putFrames(cf)

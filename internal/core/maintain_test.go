@@ -253,11 +253,9 @@ func TestSweepDeadAllProbesDistinctOnce(t *testing.T) {
 	perNodeSum := 0
 	for _, n := range m.Nodes() {
 		local := map[ids.ID]struct{}{}
-		for _, es := range n.snapshotTable() {
-			for _, e := range es {
-				local[e.ID] = struct{}{}
-				distinct[e.ID] = struct{}{}
-			}
+		for _, e := range n.appendNeighbors(nil) {
+			local[e.ID] = struct{}{}
+			distinct[e.ID] = struct{}{}
 		}
 		perNodeSum += len(local)
 	}

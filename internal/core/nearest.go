@@ -47,13 +47,20 @@ const (
 // engine's allocation profile; arenas recycle through Mesh.nnScratchPool so
 // a steady-state mesh stops allocating them at all. All maps key by the
 // comparable ids.ID — never by ID.String().
+//
+// The pool is kept in (distance, ID) order — the order the routing table
+// keeps its sets in — by inserting each new candidate at its rank, so
+// selecting a level's k closest matchers is a filtered walk of a prefix and
+// nothing is ever sorted. A candidate whose probe failed is deleted from the
+// pool; known remembers every ID ever pooled, so neither a duplicate answer
+// nor a corpse is measured or pooled twice.
 type nnScratch struct {
-	pool   map[ids.ID]route.Entry
+	pool   []route.Entry
+	known  map[ids.ID]struct{}
 	floors map[ids.ID]int // lowest row floor this peer has been queried at
-	failed map[ids.ID]struct{}
-	list   []route.Entry // matchers result (re-filled per call)
-	seeds  []route.Entry // vantage-table seed gathering
-	found  []route.Entry // per-peer fold buffer
+	list   []route.Entry  // closest/matchers result (re-filled per call)
+	seeds  []route.Entry  // vantage-table seed gathering
+	found  []route.Entry  // per-peer fold buffer
 
 	// bandReq/bandResp are the recycled wire messages of queryPeer's
 	// table-band RPC; bandResp decodes straight into the found buffer.
@@ -63,18 +70,17 @@ type nnScratch struct {
 
 func newNNScratch() *nnScratch {
 	return &nnScratch{
-		pool:   make(map[ids.ID]route.Entry, 64),
+		known:  make(map[ids.ID]struct{}, 64),
 		floors: make(map[ids.ID]int, 32),
-		failed: make(map[ids.ID]struct{}, 8),
 	}
 }
 
 // reset clears the arena for reuse; Go compiles the map-range deletes to a
 // bulk clear, and the slices keep their capacity.
 func (sc *nnScratch) reset() {
-	clear(sc.pool)
+	clear(sc.known)
 	clear(sc.floors)
-	clear(sc.failed)
+	sc.pool = sc.pool[:0]
 	sc.list = sc.list[:0]
 	sc.seeds = sc.seeds[:0]
 	sc.found = sc.found[:0]
@@ -122,18 +128,43 @@ func (s *nnSearch) release() {
 	s.n.mesh.putNNScratch(sc)
 }
 
-// add measures a candidate from the vantage node and pools it; the vantage
-// node itself, the avoided ID and already-known candidates are ignored.
+// poolRank returns the position of e in the pool — or where it would be
+// inserted to keep (distance, ID) order — and whether it is there.
+func (s *nnSearch) poolRank(e route.Entry) (int, bool) {
+	return slices.BinarySearchFunc(s.pool, e, func(a, b route.Entry) int {
+		if a.Distance != b.Distance {
+			if a.Distance < b.Distance {
+				return -1
+			}
+			return 1
+		}
+		return a.ID.Compare(b.ID)
+	})
+}
+
+// add measures a candidate from the vantage node and pools it at its
+// (distance, ID) rank; the vantage node itself, the avoided ID and
+// already-known candidates are ignored.
 func (s *nnSearch) add(e route.Entry) {
 	if e.ID.IsZero() || e.ID.Equal(s.n.id) || e.ID.Equal(s.avoid) {
 		return
 	}
-	if _, ok := s.pool[e.ID]; ok {
+	if _, ok := s.known[e.ID]; ok {
 		return
 	}
+	s.known[e.ID] = struct{}{}
 	e.Distance = s.n.mesh.net.Distance(s.n.addr, e.Addr)
 	e.Pinned, e.Leaving = false, false
-	s.pool[e.ID] = e
+	i, _ := s.poolRank(e)
+	s.pool = slices.Insert(s.pool, i, e)
+}
+
+// fail drops a candidate whose probe failed from the pool for good: it stays
+// known, so a later answer naming it is not pooled again.
+func (s *nnSearch) fail(e route.Entry) {
+	if i, ok := s.poolRank(e); ok {
+		s.pool = slices.Delete(s.pool, i, i+1)
+	}
 }
 
 // prefixMatch returns the number of leading digits id shares with p.
@@ -150,35 +181,31 @@ func prefixMatch(id ids.ID, p ids.Prefix) int {
 	return n
 }
 
-// matchers returns every pooled candidate sharing at least m digits with p
-// whose probe has not failed, sorted by (distance, ID) — the same order the
-// routing table keeps its sets in, so "first matcher" and "slot primary"
-// agree on tie-breaks. The result aliases the arena's list buffer: it is
-// valid until the next matchers call and must not outlive release().
-func (s *nnSearch) matchers(p ids.Prefix, m int) []route.Entry {
+// closest returns the first limit pooled candidates sharing at least m digits
+// with p (all of them when limit < 0), in (distance, ID) order — the same
+// order the routing table keeps its sets in, so "first matcher" and "slot
+// primary" agree on tie-breaks. It is a filtered walk of the ordered pool.
+// The result aliases the arena's list buffer: it is valid until the next
+// closest or matchers call and must not outlive release().
+func (s *nnSearch) closest(p ids.Prefix, m, limit int) []route.Entry {
 	out := s.list[:0]
-	for id, e := range s.pool {
-		if _, bad := s.failed[id]; bad {
-			continue
+	for _, e := range s.pool {
+		if len(out) == limit {
+			break
 		}
-		if prefixMatch(e.ID, p) < m {
-			continue
+		if prefixMatch(e.ID, p) >= m {
+			out = append(out, e)
 		}
-		out = append(out, e)
 	}
-	// The pool is a map, but the (distance, ID) order is total — IDs are
-	// unique — so the sorted list is deterministic.
-	slices.SortFunc(out, func(a, b route.Entry) int {
-		if a.Distance != b.Distance {
-			if a.Distance < b.Distance {
-				return -1
-			}
-			return 1
-		}
-		return a.ID.Compare(b.ID)
-	})
 	s.list = out
 	return out
+}
+
+// matchers returns every pooled candidate sharing at least m digits with p
+// whose probe has not failed, in (distance, ID) order. Same aliasing contract
+// as closest.
+func (s *nnSearch) matchers(p ids.Prefix, m int) []route.Entry {
+	return s.closest(p, m, -1)
 }
 
 // appendSeedBand collects every contact of t qualifying at levels >= level —
@@ -212,7 +239,7 @@ func (s *nnSearch) queryPeer(e route.Entry, floor int) bool {
 	s.bandResp.Entries = s.found[:0]
 	peer, err := s.n.mesh.invoke(s.n.addr, e, &s.bandReq, &s.bandResp, s.cost, false)
 	if err != nil {
-		s.failed[e.ID] = struct{}{}
+		s.fail(e)
 		if s.onDead != nil {
 			s.onDead(e)
 		}
@@ -241,10 +268,7 @@ func (s *nnSearch) expandLevel(p ids.Prefix, m, rounds int) {
 		floor = p.Len() - 1
 	}
 	for r := 0; r < rounds; r++ {
-		list := s.matchers(p, m)
-		if len(list) > s.k {
-			list = list[:s.k]
-		}
+		list := s.closest(p, m, s.k)
 		progressed := false
 		for _, c := range list {
 			if f, ok := s.floors[c.ID]; ok && f <= floor {

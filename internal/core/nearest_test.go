@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -40,6 +41,76 @@ func oracleClosest(m *Mesh, n *Node, level int, digit ids.Digit) []route.Entry {
 		return out[i].ID.Less(out[j].ID)
 	})
 	return out
+}
+
+// TestNNSearchPoolMatchesSortModel drives the engine's ordered candidate pool
+// through 1000 random searches — adds of real, duplicate, self and avoided
+// candidates (a ring metric, so distance ties abound) and failed probes —
+// against the plain model it replaced: a first-wins map of measured
+// candidates, filtered and fully sorted on every read. After every add and
+// every failed probe, matchers must equal the model's filter-then-sort, and
+// closest must be its first k.
+func TestNNSearchPoolMatchesSortModel(t *testing.T) {
+	m, nodes := buildMesh(t, 64, testConfig(), 77)
+	rng := rand.New(rand.NewSource(78))
+	for search := 0; search < 1000; search++ {
+		n := nodes[rng.Intn(len(nodes))]
+		avoid := ids.ID{}
+		if rng.Intn(3) == 0 {
+			avoid = nodes[rng.Intn(len(nodes))].id
+		}
+		s := n.newNNSearch(1+rng.Intn(8), avoid, nil)
+		ref := map[ids.ID]route.Entry{}
+		failed := map[ids.ID]bool{}
+		for op := 0; op < 24; op++ {
+			if pooled := s.matchers(ids.EmptyPrefix, 0); len(pooled) > 0 && rng.Intn(5) == 0 {
+				c := pooled[rng.Intn(len(pooled))]
+				s.fail(c)
+				failed[c.ID] = true
+			} else {
+				// Mostly mesh members (so re-adds hit known IDs), sometimes a
+				// stranger; the address is random, so a re-add of a known ID
+				// may carry a different address — first one wins.
+				e := route.Entry{ID: nodes[rng.Intn(len(nodes))].id, Addr: netsim.Addr(rng.Intn(m.net.Size())), Pinned: true, Leaving: true}
+				if rng.Intn(4) == 0 {
+					e.ID = testSpec.Random(rng)
+				}
+				s.add(e)
+				_, seen := ref[e.ID]
+				if !seen && !e.ID.Equal(n.id) && !e.ID.Equal(avoid) {
+					e.Distance = m.net.Distance(n.addr, e.Addr)
+					e.Pinned, e.Leaving = false, false
+					ref[e.ID] = e
+				}
+			}
+
+			target := nodes[rng.Intn(len(nodes))].id
+			p := target.Prefix(rng.Intn(testSpec.Digits + 1))
+			lvl := rng.Intn(p.Len() + 1)
+			var want []route.Entry
+			for id, e := range ref {
+				if !failed[id] && prefixMatch(id, p) >= lvl {
+					want = append(want, e)
+				}
+			}
+			sort.Slice(want, func(i, j int) bool {
+				if want[i].Distance != want[j].Distance {
+					return want[i].Distance < want[j].Distance
+				}
+				return want[i].ID.Less(want[j].ID)
+			})
+			if got := s.matchers(p, lvl); !slices.Equal(got, want) {
+				t.Fatalf("search %d op %d: matchers(%v, %d)\n got  %v\n want %v", search, op, p, lvl, got, want)
+			}
+			if len(want) > s.k {
+				want = want[:s.k]
+			}
+			if got := s.closest(p, lvl, s.k); !slices.Equal(got, want) {
+				t.Fatalf("search %d op %d: closest(%v, %d, %d)\n got  %v\n want %v", search, op, p, lvl, s.k, got, want)
+			}
+		}
+		s.release()
+	}
 }
 
 // TestNearestForSlotMatchesOracle: across every populated slot of several

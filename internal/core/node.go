@@ -311,6 +311,17 @@ type Mesh struct {
 	byID   [idShards]idShard
 	size   atomic.Int64
 
+	// ordered is the membership in ascending ID order — what Nodes() hands
+	// out. The first Nodes() call builds it from the shards (a bulk static
+	// build never pays for it); from then on publish and unregister keep it
+	// in order with a binary-search insert or delete, so a maintenance epoch
+	// no longer re-collects and re-sorts the whole registry per pass.
+	ordered struct {
+		mu    sync.Mutex
+		nodes []*Node
+		valid bool
+	}
+
 	// Serving-layer counters: one observation per Locate on a cache-enabled
 	// mesh. Atomics so the query hot path never takes a mesh-wide lock.
 	cacheHits   atomic.Int64
@@ -431,11 +442,35 @@ func (m *Mesh) publish(n *Node) error {
 		sh.mu.Lock()
 		delete(sh.m, n.id)
 		sh.mu.Unlock()
+		m.updateOrdered(n, false) // a concurrent Nodes() may have collected it
 		return fmt.Errorf("core: address %d already hosts a node", n.addr)
 	}
 	m.size.Add(1)
 	m.net.Attach(n.addr)
+	m.updateOrdered(n, true)
 	return nil
+}
+
+// updateOrdered applies one membership change to the ID-ordered list, if it
+// has been built. Both directions tolerate a list that already reflects the
+// change: a Nodes() rebuild racing the shard update may have seen it first.
+func (m *Mesh) updateOrdered(n *Node, present bool) {
+	o := &m.ordered
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if !o.valid {
+		return
+	}
+	i := sort.Search(len(o.nodes), func(i int) bool { return !o.nodes[i].id.Less(n.id) })
+	has := i < len(o.nodes) && o.nodes[i] == n
+	switch {
+	case present && !has:
+		o.nodes = append(o.nodes, nil)
+		copy(o.nodes[i+1:], o.nodes[i:])
+		o.nodes[i] = n
+	case !present && has:
+		o.nodes = append(o.nodes[:i], o.nodes[i+1:]...)
+	}
 }
 
 // register validates uniqueness and creates an inserting node. The node's
@@ -463,6 +498,7 @@ func (m *Mesh) unregister(n *Node) {
 	if m.byAddr[n.addr].CompareAndSwap(n, nil) {
 		m.size.Add(-1)
 	}
+	m.updateOrdered(n, false)
 }
 
 // NodeAt returns the node hosted at addr, or nil. Lock-free: this is the
@@ -483,21 +519,28 @@ func (m *Mesh) NodeByID(id ids.ID) *Node {
 }
 
 // Nodes returns a snapshot of all registered nodes (including currently
-// inserting ones, excluding failed/departed ones).
+// inserting ones, excluding failed/departed ones) in ascending ID order, so
+// churn and failure experiments that pick victims or probe clients from it
+// are reproducible. The slice is the caller's own.
 func (m *Mesh) Nodes() []*Node {
-	out := make([]*Node, 0, m.Size())
-	for i := range m.byID {
-		sh := &m.byID[i]
-		sh.mu.Lock()
-		for _, n := range sh.m {
-			out = append(out, n)
+	o := &m.ordered
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if !o.valid {
+		o.nodes = o.nodes[:0]
+		for i := range m.byID {
+			sh := &m.byID[i]
+			sh.mu.Lock()
+			for _, n := range sh.m {
+				o.nodes = append(o.nodes, n)
+			}
+			sh.mu.Unlock()
 		}
-		sh.mu.Unlock()
+		sort.Slice(o.nodes, func(i, j int) bool { return o.nodes[i].id.Less(o.nodes[j].id) })
+		o.valid = true
 	}
-	// Shard maps iterate in arbitrary order: return in ID order so churn and
-	// failure experiments that pick victims or probe clients from this slice
-	// are reproducible.
-	sort.Slice(out, func(i, j int) bool { return out[i].id.Less(out[j].id) })
+	out := make([]*Node, len(o.nodes))
+	copy(out, o.nodes)
 	return out
 }
 
@@ -574,13 +617,20 @@ func (n *Node) addNeighborAndNotify(level int, e route.Entry, cost *netsim.Cost)
 	n.mu.Lock()
 	added, evicted := n.table.Add(level, e)
 	n.mu.Unlock()
+	n.notifyLinkChange(level, e, added, evicted, cost)
+	return added
+}
+
+// notifyLinkChange is the messaging half of a table.Add at the given level,
+// sent with n's lock released: register the backpointer at e if it went in,
+// retract the backpointers at whatever it evicted.
+func (n *Node) notifyLinkChange(level int, e route.Entry, added bool, evicted []route.Entry, cost *netsim.Cost) {
 	if added {
 		n.sendBackpointerAdd(level, e, cost)
 	}
 	for _, ev := range evicted {
 		n.sendBackpointerRemove(level, ev, cost)
 	}
-	return added
 }
 
 func (n *Node) sendBackpointerAdd(level int, e route.Entry, cost *netsim.Cost) {
@@ -600,18 +650,32 @@ func (n *Node) sendBackpointerRemove(level int, e route.Entry, cost *netsim.Cost
 	n.mesh.putFrames(f)
 }
 
-// snapshotTable returns a deep copy of the node's forward links as entries
-// grouped by level, used by SweepDead, ReorderNeighborSets and the
-// preliminary-table copy. Iterate the result via sortedLevels wherever the
-// order has observable effects.
-func (n *Node) snapshotTable() map[int][]route.Entry {
+// appendNeighbors appends a copy of the node's forward links, self entries
+// excluded, to dst in the table's stored order — ascending (level, digit,
+// rank), the order ForEachNeighbor visits. A neighbor held at several levels
+// appears once per level. The heartbeat sweeps and the §6.4 re-ordering probe
+// in exactly this order, which is what makes their repair order — and with it
+// eviction tie-breaks and message costs at every peer — deterministic.
+func (n *Node) appendNeighbors(dst []route.Entry) []route.Entry {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	out := make(map[int][]route.Entry)
-	n.table.ForEachNeighbor(func(level int, e route.Entry) {
-		out[level] = append(out[level], e)
-	})
-	return out
+	for _, e := range n.table.RangeView(0, n.table.Levels()) {
+		if !e.ID.Equal(n.id) {
+			dst = append(dst, e)
+		}
+	}
+	return dst
+}
+
+// entryIn reports whether id occurs among ents (a linear scan: callers pass
+// one node's links, a few dozen entries).
+func entryIn(ents []route.Entry, id ids.ID) bool {
+	for i := range ents {
+		if ents[i].ID.Equal(id) {
+			return true
+		}
+	}
+	return false
 }
 
 // Table exposes the node's routing table for audits and experiments. The

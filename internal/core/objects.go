@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"tapestry/internal/ids"
 	"tapestry/internal/netsim"
@@ -65,6 +65,12 @@ func (o *objState) remove(server, key ids.ID) bool {
 func (n *Node) depositPointer(r pointerRec) (prev pointerRec, existed bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	return n.depositLocked(r)
+}
+
+// depositLocked is depositPointer for a caller that already holds n.mu (the
+// republish caravan deposits a whole batch under one hold).
+func (n *Node) depositLocked(r pointerRec) (prev pointerRec, existed bool) {
 	// The store is keyed by the *unsalted* GUID so queries (which know only
 	// the GUID) find pointers deposited along any salted path.
 	st := n.objects[r.guid]
@@ -348,8 +354,10 @@ func (n *Node) locateVia(guid ids.ID, salt int, cost *netsim.Cost) LocateResult 
 	hops := 0
 	var visitedBuf [12]ids.ID
 	visited := visitedBuf[:0]
-	var deadSet map[ids.ID]struct{} // lazily allocated: only failed probes populate it
-	exclude := ids.ID{}
+	// deadSet is the per-query memory of nodes to route around: neighbors
+	// whose probe failed and inserting nodes the query bounced off. Lazily
+	// allocated, so a healthy walk never touches it.
+	var deadSet map[ids.ID]struct{}
 	cacheOn := n.mesh.cfg.LocateCacheCap > 0
 	// path collects the traversed nodes so a successful answer can be cached
 	// at every hop on the (piggybacked) return path; nil when the cache is
@@ -387,18 +395,27 @@ func (n *Node) locateVia(guid ids.ID, salt int, cost *netsim.Cost) LocateResult 
 		// loop terminates.
 		for {
 			cur.mu.Lock()
-			dec := cur.nextHop(key, level, exclude, deadSet)
+			dec := cur.nextHop(key, level, ids.ID{}, deadSet)
 			inserting := cur.state == stateInserting
 			psur := cur.psurrogate
 			alpha := cur.alpha
 			cur.mu.Unlock()
 
 			if dec.terminal {
-				if inserting && !psur.ID.IsZero() && !idIn(visited, psur.ID) {
+				if _, bounced := deadSet[cur.id]; inserting && !psur.ID.IsZero() && !bounced {
 					// Figure 10: an inserting node that cannot satisfy the
 					// query bounces it to its pre-insertion surrogate, which
-					// routes as if the new node did not exist.
-					exclude = cur.id
+					// routes as if the new node did not exist. The inserter
+					// joins deadSet (as in routeToKey: a walk bouncing off a
+					// second inserter must not re-enter the first), and the
+					// loop memory restarts — the surrogate may be a node the
+					// query already passed, even the client itself, and
+					// re-deciding there without the inserter is not a loop.
+					if deadSet == nil {
+						deadSet = make(map[ids.ID]struct{}, 2)
+					}
+					deadSet[cur.id] = struct{}{}
+					visited = visited[:0]
 					f.locate.Level, f.locate.Hops = level, hops
 					next, err := n.mesh.invoke(cur.addr, psur, &f.locate, msgAck, cost, true)
 					if err != nil {
@@ -554,11 +571,14 @@ func (cur *Node) serveFromCache(guid ids.ID, cost *netsim.Cost, hops *int) (Loca
 func (n *Node) PublishedObjects() []ids.ID {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	if len(n.published) == 0 {
+		return nil // most nodes serve nothing; the republish epoch asks every one
+	}
 	out := make([]ids.ID, 0, len(n.published))
 	for g := range n.published {
 		out = append(out, g)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	slices.SortFunc(out, ids.ID.Compare)
 	return out
 }
 
@@ -597,8 +617,17 @@ func (n *Node) expirePointers(now int64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for g, st := range n.objects {
-		kept := st.recs[:0]
-		for _, r := range st.recs {
+		// Scan first: in a refreshed store nothing has expired, and the
+		// common epoch must not rewrite every record of every node.
+		i := 0
+		for i < len(st.recs) && now-st.recs[i].epoch < ttl {
+			i++
+		}
+		if i == len(st.recs) {
+			continue
+		}
+		kept := st.recs[:i]
+		for _, r := range st.recs[i+1:] {
 			if now-r.epoch < ttl {
 				kept = append(kept, r)
 			}
@@ -640,8 +669,8 @@ func (n *Node) OptimizeObjectPtrs(cost *netsim.Cost) {
 		rec  pointerRec
 	}
 	var work []workItem
-	for guid, st := range n.objects {
-		for _, r := range st.recs {
+	for _, guid := range sortedGUIDs(n.objects) { // re-route order must not be map order
+		for _, r := range n.objects[guid].recs {
 			if r.root {
 				continue
 			}

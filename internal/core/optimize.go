@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"tapestry/internal/ids"
 	"tapestry/internal/netsim"
 	"tapestry/internal/route"
@@ -33,16 +31,17 @@ import (
 // corpses) and restores distance order within each set. It returns the
 // number of sets whose primary changed.
 func (n *Node) ReorderNeighborSets(cost *netsim.Cost) int {
-	// Collect distinct neighbors and probe them (one RPC each).
-	neighbors := n.snapshotTable()
-	alive := map[ids.ID]bool{}
-	for _, ents := range neighbors {
-		for _, e := range ents {
-			if _, probed := alive[e.ID]; probed {
-				continue
-			}
-			_, err := n.mesh.invoke(n.addr, e, msgPing, msgAck, cost, false)
-			alive[e.ID] = err == nil
+	// Probe each distinct neighbor once (one RPC each), in the table's stored
+	// (level, digit, rank) order so the probe sequence — and under the
+	// event-driven engine the Cost timeline — replays exactly.
+	links := n.appendNeighbors(nil)
+	var dead []ids.ID
+	for i, e := range links {
+		if entryIn(links[:i], e.ID) {
+			continue
+		}
+		if _, err := n.mesh.invoke(n.addr, e, msgPing, msgAck, cost, false); err != nil {
+			dead = append(dead, e.ID)
 		}
 	}
 	changed := 0
@@ -56,7 +55,9 @@ func (n *Node) ReorderNeighborSets(cost *netsim.Cost) int {
 			}
 			oldPrimary, _ := n.table.Primary(l, dg)
 			for _, e := range set {
-				if e.ID.Equal(n.id) || !alive[e.ID] {
+				// Only probed, live members are re-measured: an entry that
+				// arrived after the snapshot keeps the distance it came with.
+				if idIn(dead, e.ID) || !entryIn(links, e.ID) {
 					continue
 				}
 				e.Distance = n.mesh.net.Distance(n.addr, e.Addr)
@@ -254,8 +255,7 @@ func (n *Node) DegradePrimariesForTest() int {
 // requirement: "when a new primary neighbor has been chosen, the node needs
 // to move some object pointers"). Returns (primary changes, adoptions).
 func (m *Mesh) TuneEpoch(cost *netsim.Cost) (reordered, adopted int) {
-	nodes := m.Nodes()
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].id.Less(nodes[j].id) })
+	nodes := m.Nodes() // ID order
 	for _, n := range nodes {
 		reordered += n.ReorderNeighborSets(cost)
 	}

@@ -426,22 +426,18 @@ func (n *Node) repairHoleScan(level int, digit ids.Digit, dead ids.ID, cost *net
 // the number of dead links removed: a neighbor held at several levels counts
 // once per level its link was dropped from, matching what Remove reports.
 func (n *Node) SweepDead(cost *netsim.Cost) int {
-	// Probe in ascending level order: snapshotTable is a map, and probe order
+	// Probe in the table's stored (level, digit, rank) order: probe order
 	// decides the order repairs run in — and with it repair traffic and
-	// eviction tie-breaks — so iterating it directly would make sweeps
-	// nondeterministic (the same map-order bug class the Leave path had).
-	neighbors := n.snapshotTable()
+	// eviction tie-breaks. A neighbor held at several levels is probed at its
+	// first appearance only.
+	links := n.appendNeighbors(nil)
 	removed := 0
-	seen := map[ids.ID]struct{}{}
-	for _, l := range sortedLevels(neighbors) {
-		for _, e := range neighbors[l] {
-			if _, ok := seen[e.ID]; ok {
-				continue
-			}
-			seen[e.ID] = struct{}{}
-			if _, err := n.mesh.invoke(n.addr, e, msgPing, msgAck, cost, false); err != nil {
-				removed += n.noteDead(e, cost)
-			}
+	for i, e := range links {
+		if entryIn(links[:i], e.ID) {
+			continue
+		}
+		if _, err := n.mesh.invoke(n.addr, e, msgPing, msgAck, cost, false); err != nil {
+			removed += n.noteDead(e, cost)
 		}
 	}
 	return removed

@@ -214,10 +214,6 @@ func applyBackIntents(nodes []*Node, intents [][]backIntent) {
 // registerStatic validates the participant set and registers one active node
 // per participant on a fresh mesh.
 func registerStatic(net *netsim.Network, cfg Config, parts []Participant) (*Mesh, []*Node, error) {
-	m, err := NewMesh(net, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
 	seenID := make(map[ids.ID]bool, len(parts))
 	seenAddr := make(map[netsim.Addr]bool, len(parts))
 	for _, p := range parts {
@@ -229,6 +225,12 @@ func registerStatic(net *netsim.Network, cfg Config, parts []Participant) (*Mesh
 		}
 		seenID[p.ID] = true
 		seenAddr[p.Addr] = true
+	}
+	// The mesh (and, under TCP, its listener) is created only once nothing
+	// below can fail, so no error path leaves a transport open.
+	m, err := NewMesh(net, cfg)
+	if err != nil {
+		return nil, nil, err
 	}
 	nodes := make([]*Node, len(parts))
 	for i, p := range parts {

@@ -171,6 +171,7 @@ type msgFrames struct {
 	joinReq    wire.JoinSnapshotReq
 	joinResp   wire.JoinSnapshotResp
 	caravan    wire.CaravanStep
+	batch      caravanScratch // republishBatched's buffers; caravan.Recs is a window of its arena
 	leave      wire.LeaveNotify
 	deleted    wire.NodeDeleted
 	drop       wire.DropLinks
@@ -245,7 +246,8 @@ func (target *Node) dispatch(req, resp wire.Msg, cost *netsim.Cost) {
 		}
 		if q.Floor < top {
 			// The whole [floor, top) row band is one contiguous copy under
-			// the SoA layout; backpointer maps fold per level.
+			// the SoA layout; each level's backpointers (kept ID-sorted) are
+			// one more.
 			r.Entries = append(r.Entries, target.table.RangeView(q.Floor, top)...)
 			for l := q.Floor; l < top; l++ {
 				r.Entries = target.table.AppendBacks(r.Entries, l)
@@ -407,6 +409,9 @@ func newTCPTransport(m *Mesh) (*tcpTransport, error) {
 }
 
 func (t *tcpTransport) Kind() TransportKind { return TransportTCP }
+
+// Addr returns the listener's address (teardown tests dial it after Close).
+func (t *tcpTransport) Addr() net.Addr { return t.ln.Addr() }
 
 func (t *tcpTransport) acceptLoop() {
 	for {

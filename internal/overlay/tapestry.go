@@ -94,7 +94,13 @@ func (t *tapestry) Build(addrs []netsim.Addr) ([]Handle, []int, error) {
 		if err != nil {
 			return nil, nil, err
 		}
+		// The statically built mesh replaces the empty one New created;
+		// release that one's transport (under TCP, a listener of its own).
+		old := t.mesh
 		t.mesh = m
+		if err := old.Close(); err != nil {
+			return nil, nil, err
+		}
 		handles := make([]Handle, len(addrs))
 		for i, a := range addrs {
 			handles[i] = tapHandle{m.NodeAt(a)}

@@ -3,7 +3,6 @@ package route
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -379,31 +378,73 @@ func TestSetViewConcurrentReaders(t *testing.T) {
 	wg.Wait()
 }
 
-// TestAppendBacksSortedByID pins the deterministic-iteration helper: IDs
-// ascend, content matches the Backs map, dst is extended in place.
-func TestAppendBacksSortedByID(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	owner := spec.Random(rng)
-	tbl := New(spec, owner, 0, 2)
-	for i := 0; i < 30; i++ {
-		v := spec.Random(rng)
-		tbl.AddBack(1, Entry{ID: v, Addr: netsim.Addr(i), Distance: rng.Float64()})
-	}
-	dst := make([]Entry, 0, 32)
-	dst = append(dst, Entry{ID: owner}) // pre-existing prefix must survive
-	dst = tbl.AppendBacks(dst, 1)
-	if !dst[0].ID.Equal(owner) {
-		t.Fatal("AppendBacks clobbered the dst prefix")
-	}
-	tail := dst[1:]
-	if len(tail) != tbl.BackCount(1) {
-		t.Fatalf("got %d backs, want %d", len(tail), tbl.BackCount(1))
-	}
-	if !sort.SliceIsSorted(tail, func(i, j int) bool { return tail[i].ID.Less(tail[j].ID) }) {
-		t.Fatal("AppendBacks tail not in ascending ID order")
-	}
-	byDist := tbl.Backs(1)
-	if len(byDist) != len(tail) {
-		t.Fatal("AppendBacks and Backs disagree on membership")
+// TestBackpointerModel drives the ID-sorted backpointer lists through seeded
+// streams of AddBack, RemoveBack, whole-node Remove and re-AddBack with a new
+// distance, against a plain map per level as the reference. After every op:
+// AppendBacks extends dst in place with exactly the reference members in
+// strictly ascending ID order, Backs returns them in (distance, id) order,
+// and BackCount agrees.
+func TestBackpointerModel(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		owner := spec.Random(rng)
+		tbl := New(spec, owner, 0, 2)
+		ref := make([]map[ids.ID]Entry, spec.Digits)
+		for l := range ref {
+			ref[l] = map[ids.ID]Entry{}
+		}
+		// A small universe so removes and distance updates hit present IDs.
+		universe := make([]ids.ID, 48)
+		for i := range universe {
+			universe[i] = spec.Random(rng)
+		}
+		for op := 0; op < 3000; op++ {
+			id := universe[rng.Intn(len(universe))]
+			level := rng.Intn(spec.Digits)
+			switch r := rng.Intn(10); {
+			case r < 6: // add, or re-add with a new distance
+				e := Entry{ID: id, Addr: netsim.Addr(rng.Intn(1000)), Distance: float64(rng.Intn(8))}
+				tbl.AddBack(level, e)
+				ref[level][id] = e
+			case r < 9:
+				tbl.RemoveBack(level, id)
+				delete(ref[level], id)
+			default: // Remove drops the node from every level
+				tbl.Remove(id)
+				for l := range ref {
+					delete(ref[l], id)
+				}
+			}
+			for l := range ref {
+				if got, want := tbl.BackCount(l), len(ref[l]); got != want {
+					t.Fatalf("seed %d op %d level %d: BackCount %d, want %d", seed, op, l, got, want)
+				}
+				dst := tbl.AppendBacks([]Entry{{ID: owner}}, l)
+				if !dst[0].ID.Equal(owner) {
+					t.Fatalf("seed %d op %d: AppendBacks clobbered the dst prefix", seed, op)
+				}
+				tail := dst[1:]
+				if len(tail) != len(ref[l]) {
+					t.Fatalf("seed %d op %d level %d: AppendBacks gave %d entries, want %d", seed, op, l, len(tail), len(ref[l]))
+				}
+				for i, e := range tail {
+					if i > 0 && !tail[i-1].ID.Less(e.ID) {
+						t.Fatalf("seed %d op %d level %d: AppendBacks not strictly ascending by ID at %d", seed, op, l, i)
+					}
+					if ref[l][e.ID] != e {
+						t.Fatalf("seed %d op %d level %d: entry %v differs from reference %v", seed, op, l, e, ref[l][e.ID])
+					}
+				}
+				byDist := tbl.Backs(l)
+				if len(byDist) != len(tail) {
+					t.Fatalf("seed %d op %d level %d: Backs and AppendBacks disagree on membership", seed, op, l)
+				}
+				for i := 1; i < len(byDist); i++ {
+					if !entryLess(byDist[i-1], byDist[i]) {
+						t.Fatalf("seed %d op %d level %d: Backs not in (distance, id) order at %d", seed, op, l, i)
+					}
+				}
+			}
+		}
 	}
 }

@@ -6,6 +6,15 @@
 // backpointers (who points at me, per level) and the pinned-pointer state
 // used by the simultaneous-insertion protocol of Section 4.4.
 //
+// Canonical order is a property of the storage, not something readers
+// re-derive: forward sets are kept in (distance, id) rank inside ascending
+// (level, digit) slots, backpointers in ascending id order per level. Every
+// maintenance path whose message order, repair order or eviction tie-breaks
+// are observable (heartbeat sweep, §4.2 search seeding, Leave notification,
+// audits) iterates that storage in place — ForEachNeighbor, RangeView,
+// AppendBacks — so two runs of the same script send the same messages in the
+// same order without a map or a sort anywhere on the way.
+//
 // Storage is struct-of-arrays: every neighbor set lives in ONE contiguous
 // []Entry block, indexed by slot = level*base + digit through a compressed
 // offset array (off[slot]..off[slot+1] brackets N_{β,j}). Per-hop scans —
@@ -54,10 +63,11 @@ type Table struct {
 	// off[s]..off[s+1] brackets slot s within ents; len(off) == slots+1.
 	off []int32
 
-	// back[level] holds backpointers: nodes that have the owner in their
-	// level-`level` neighbor sets, keyed by comparable ID (no String()
-	// round-trips on maintenance paths).
-	back []map[ids.ID]Entry
+	// back[level] holds backpointers — nodes that have the owner in their
+	// level-`level` neighbor sets — as one slice per level in strictly
+	// ascending ID order (binary-search insert and delete), so AppendBacks is
+	// a plain copy.
+	back [][]Entry
 
 	// pinned counts pinned entry instances across all sets, kept in sync by
 	// Add/Pin/Unpin/Remove so PinnedCount is O(1).
@@ -81,10 +91,7 @@ func New(spec ids.Spec, owner ids.ID, addr netsim.Addr, r int) *Table {
 		slots: spec.Digits * spec.Base,
 		ents:  make([]Entry, 0, spec.Digits*(r+1)),
 		off:   make([]int32, spec.Digits*spec.Base+1),
-		back:  make([]map[ids.ID]Entry, spec.Digits),
-	}
-	for l := 0; l < spec.Digits; l++ {
-		t.back[l] = make(map[ids.ID]Entry)
+		back:  make([][]Entry, spec.Digits),
 	}
 	// Self entries occupy ascending slot indices (one per level), so the CSR
 	// block can be built in a single forward pass.
@@ -141,17 +148,10 @@ func entryLess(a, b Entry) bool {
 	return a.ID.Less(b.ID)
 }
 
-// insertSorted places e into slot s at its (distance, id) rank, shifting the
-// tail of the block and the downstream offsets.
-func (t *Table) insertSorted(s int, e Entry) {
-	lo, hi := int(t.off[s]), int(t.off[s+1])
-	pos := hi
-	for i := lo; i < hi; i++ {
-		if entryLess(e, t.ents[i]) {
-			pos = i
-			break
-		}
-	}
+// insertAt grows slot s by placing e at block index pos (its (distance, id)
+// rank within the slot), shifting the tail of the block and the downstream
+// offsets.
+func (t *Table) insertAt(s, pos int, e Entry) {
 	t.ents = append(t.ents, Entry{})
 	copy(t.ents[pos+1:], t.ents[pos:])
 	t.ents[pos] = e
@@ -193,46 +193,56 @@ func (t *Table) Add(level int, e Entry) (added bool, evicted []Entry) {
 	s := t.slot(level, e.ID.Digit(level))
 
 	// Update in place if already present (re-rank, since the distance may
-	// have changed; a pin is sticky).
-	for i := int(t.off[s]); i < int(t.off[s+1]); i++ {
+	// have changed; a pin is sticky). The entry moves within its own slot, so
+	// no offset changes.
+	lo, hi := int(t.off[s]), int(t.off[s+1])
+	for i := lo; i < hi; i++ {
 		if t.ents[i].ID.Equal(e.ID) {
 			pinned := t.ents[i].Pinned || e.Pinned
 			if pinned && !t.ents[i].Pinned {
 				t.pinned++
 			}
 			e.Pinned = pinned
-			t.removeIdx(s, i)
-			t.insertSorted(s, e)
+			for ; i > lo && entryLess(e, t.ents[i-1]); i-- {
+				t.ents[i] = t.ents[i-1]
+			}
+			for ; i < hi-1 && entryLess(t.ents[i+1], e); i++ {
+				t.ents[i] = t.ents[i+1]
+			}
+			t.ents[i] = e
 			return true, nil
 		}
 	}
 
-	if e.Pinned {
-		t.pinned++
-	}
-	t.insertSorted(s, e)
-
-	// Enforce capacity over unpinned entries only.
-	unpinned := 0
-	for i := int(t.off[s]); i < int(t.off[s+1]); i++ {
+	// One pass for the unpinned count and e's (distance, id) rank.
+	unpinned, pos := 0, hi
+	for i := lo; i < hi; i++ {
 		if !t.ents[i].Pinned {
 			unpinned++
 		}
-	}
-	if unpinned > t.r && !e.Pinned {
-		// If e itself is the farthest unpinned entry it simply does not fit.
-		last := t.lastUnpinnedIdx(s)
-		if t.ents[last].ID.Equal(e.ID) {
-			t.removeIdx(s, last)
-			return false, nil
+		if pos == hi && entryLess(e, t.ents[i]) {
+			pos = i
 		}
 	}
-	for unpinned > t.r {
-		last := t.lastUnpinnedIdx(s)
-		evicted = append(evicted, t.ents[last])
-		t.removeIdx(s, last)
-		unpinned--
+	if e.Pinned || unpinned < t.r {
+		if e.Pinned {
+			t.pinned++
+		}
+		t.insertAt(s, pos, e)
+		return true, nil
 	}
+
+	// The set is at capacity over unpinned entries: e either ranks behind
+	// all of them and does not fit, or displaces the farthest one. The set
+	// keeps its size, so the move stays inside the slot and no offset
+	// changes.
+	last := t.lastUnpinnedIdx(s)
+	if !entryLess(e, t.ents[last]) {
+		return false, nil
+	}
+	evicted = []Entry{t.ents[last]}
+	copy(t.ents[pos+1:last+1], t.ents[pos:last])
+	t.ents[pos] = e
 	return true, evicted
 }
 
@@ -240,7 +250,7 @@ func sortEntries(set []Entry) {
 	sort.Slice(set, func(i, j int) bool { return entryLess(set[i], set[j]) })
 }
 
-// Remove deletes the identified neighbor from every set and backpointer map
+// Remove deletes the identified neighbor from every set and backpointer list
 // it appears in, returning the levels at which a forward link was removed.
 func (t *Table) Remove(id ids.ID) (levels []int) {
 	for l := 0; l < t.spec.Digits; l++ {
@@ -255,7 +265,7 @@ func (t *Table) Remove(id ids.ID) (levels []int) {
 				break
 			}
 		}
-		delete(t.back[l], id)
+		t.RemoveBack(l, id)
 	}
 	return levels
 }
@@ -474,52 +484,52 @@ func (t *Table) DistinctNeighbors() []Entry {
 	return out
 }
 
+// backIdx returns the position of id in back[level] — or where it would be
+// inserted to keep the list in ascending ID order — and whether it is present.
+func (t *Table) backIdx(level int, id ids.ID) (int, bool) {
+	b := t.back[level]
+	i := sort.Search(len(b), func(i int) bool { return !b[i].ID.Less(id) })
+	return i, i < len(b) && b[i].ID.Equal(id)
+}
+
 // AddBack records that `e` holds the owner in its level-`level` neighbor
-// sets.
-func (t *Table) AddBack(level int, e Entry) { t.back[level][e.ID] = e }
+// sets; a holder already recorded is overwritten (its distance may have
+// changed).
+func (t *Table) AddBack(level int, e Entry) {
+	i, found := t.backIdx(level, e.ID)
+	if found {
+		t.back[level][i] = e
+		return
+	}
+	b := append(t.back[level], Entry{})
+	copy(b[i+1:], b[i:])
+	b[i] = e
+	t.back[level] = b
+}
 
 // RemoveBack removes a backpointer.
-func (t *Table) RemoveBack(level int, id ids.ID) { delete(t.back[level], id) }
+func (t *Table) RemoveBack(level int, id ids.ID) {
+	if i, found := t.backIdx(level, id); found {
+		b := t.back[level]
+		t.back[level] = append(b[:i], b[i+1:]...)
+	}
+}
 
 // BackCount returns the number of backpointers at a level.
 func (t *Table) BackCount(level int) int { return len(t.back[level]) }
 
-// Backs returns the backpointers at a level, sorted by distance for
-// determinism.
+// Backs returns a copy of the backpointers at a level in (distance, id)
+// order — closest holder first, the order Leave notifies in.
 func (t *Table) Backs(level int) []Entry {
-	out := make([]Entry, 0, len(t.back[level]))
-	for _, e := range t.back[level] {
-		out = append(out, e)
-	}
+	out := make([]Entry, len(t.back[level]))
+	copy(out, t.back[level])
 	sortEntries(out)
 	return out
 }
 
 // AppendBacks appends the level's backpointers to dst in ascending ID order
-// — the deterministic iteration the maintenance and search paths use — and
-// returns the extended slice. No allocation beyond dst growth: the tail is
-// insertion-sorted in place rather than handed to sort.Slice.
+// — the stored order, and the deterministic iteration the maintenance and
+// search paths use — and returns the extended slice.
 func (t *Table) AppendBacks(dst []Entry, level int) []Entry {
-	base := len(dst)
-	for _, e := range t.back[level] {
-		dst = append(dst, e)
-	}
-	tail := dst[base:]
-	for i := 1; i < len(tail); i++ {
-		for j := i; j > 0 && tail[j].ID.Less(tail[j-1].ID); j-- {
-			tail[j], tail[j-1] = tail[j-1], tail[j]
-		}
-	}
-	return dst
-}
-
-// AllBacks returns every (level, backpointer) pair.
-func (t *Table) AllBacks() map[int][]Entry {
-	out := make(map[int][]Entry, len(t.back))
-	for l := range t.back {
-		if len(t.back[l]) > 0 {
-			out[l] = t.Backs(l)
-		}
-	}
-	return out
+	return append(dst, t.back[level]...)
 }

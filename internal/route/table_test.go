@@ -261,9 +261,8 @@ func TestBackpointers(t *testing.T) {
 	if len(backs) != 2 || backs[0].Distance != 1 {
 		t.Fatalf("backs: %v", backs)
 	}
-	all := tb.AllBacks()
-	if len(all) != 1 || len(all[1]) != 2 {
-		t.Fatalf("AllBacks: %v", all)
+	if tb.BackCount(1) != 2 || tb.BackCount(0) != 0 || tb.BackCount(2) != 0 {
+		t.Fatalf("BackCount: level 0/1/2 = %d/%d/%d, want 0/2/0", tb.BackCount(0), tb.BackCount(1), tb.BackCount(2))
 	}
 	tb.RemoveBack(1, a.ID)
 	if len(tb.Backs(1)) != 1 {

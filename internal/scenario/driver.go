@@ -96,17 +96,17 @@ type Driver struct {
 	members []overlay.Handle
 	origin  map[netsim.Addr][]int // build addr -> object indices it originally serves
 
-	regionOrder []int                     // seeded shuffle of the space's region labels
-	blackouts   map[int][]netsim.Addr     // blackout pick -> crashed addresses
+	regionOrder []int                 // seeded shuffle of the space's region labels
+	blackouts   map[int][]netsim.Addr // blackout pick -> crashed addresses
 	minPop      int
 
-	reports  []PhaseReport
-	cur      PhaseReport
-	open     bool
-	prevNet  netsim.Stats
-	hopsSum  float64
-	strSum   float64
-	strN     int
+	reports []PhaseReport
+	cur     PhaseReport
+	open    bool
+	prevNet netsim.Stats
+	hopsSum float64
+	strSum  float64
+	strN    int
 }
 
 // NewDriver wraps a built, published protocol instance. members must be the

@@ -79,7 +79,7 @@ type Queries struct{ Count int }
 // CapMaintain).
 type Maintain struct{}
 
-func (e Phase) String() string   { return fmt.Sprintf("phase(%s)", e.Name) }
+func (e Phase) String() string { return fmt.Sprintf("phase(%s)", e.Name) }
 func (e Phase) validate() error {
 	if e.Name == "" {
 		return fmt.Errorf("scenario: phase with empty name")

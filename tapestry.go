@@ -278,7 +278,6 @@ func (c Config) toOverlay(p Protocol) overlay.Config {
 type Network struct {
 	kind  Protocol
 	proto overlay.Protocol
-	mesh  *core.Mesh // non-nil only for Tapestry (extended surface)
 	sim   *netsim.Network
 	seed  int64 // fault-injection draw stream (see SetLinkFaults)
 
@@ -323,8 +322,17 @@ func NewProtocol(space Space, p Protocol, cfg Config) (*Network, error) {
 		seed:  cfg.Seed,
 		rng:   rand.New(rand.NewSource(cfg.Seed ^ 0x5eed)),
 	}
-	nw.mesh, _ = overlay.CoreMesh(proto)
 	return nw, nil
+}
+
+// coreMesh returns the Tapestry mesh behind the extended surface (sweep,
+// audits, transport teardown), nil for every other protocol. It is resolved
+// at use, never cached: a StaticBuild network replaces the adapter's mesh
+// during Build, and a handle taken at construction would keep operating on
+// the empty mesh it discarded.
+func (nw *Network) coreMesh() *core.Mesh {
+	m, _ := overlay.CoreMesh(nw.proto)
+	return m
 }
 
 // Protocol reports which overlay system backs this network.
@@ -334,8 +342,8 @@ func (nw *Network) Protocol() Protocol { return nw.kind }
 // listener and connection pool; the in-process backends hold none, so Close
 // is then a cheap no-op. The Network must not be used afterwards.
 func (nw *Network) Close() error {
-	if nw.mesh != nil {
-		return nw.mesh.Close()
+	if m := nw.coreMesh(); m != nil {
+		return m.Close()
 	}
 	return nil
 }
@@ -723,31 +731,33 @@ func (nw *Network) RunMaintenance() Cost {
 // among its holders. Returns the number of links removed; zero on protocols
 // without link repair.
 func (nw *Network) SweepFailures() int {
-	if nw.mesh == nil {
+	m := nw.coreMesh()
+	if m == nil {
 		return 0
 	}
-	return nw.mesh.SweepDeadAll(nil)
+	return m.SweepDeadAll(nil)
 }
 
 // guid hashes an object name into the identifier namespace (Tapestry only).
-func (nw *Network) guid(name string) ids.ID { return nw.mesh.Spec().Hash(name) }
+func (nw *Network) guid(name string) ids.ID { return nw.coreMesh().Spec().Hash(name) }
 
 // CheckConsistency audits Property 1 (no false holes) and root uniqueness
 // over sample keys, returning human-readable violations (empty = healthy).
 // Only Tapestry defines these invariants; other protocols report nothing.
 func (nw *Network) CheckConsistency() []string {
-	if nw.mesh == nil {
+	m := nw.coreMesh()
+	if m == nil {
 		return nil
 	}
-	out := nw.mesh.AuditProperty1()
+	out := m.AuditProperty1()
 	nw.mu.Lock()
 	keys := []ids.ID{
-		nw.mesh.Spec().Random(nw.rng),
-		nw.mesh.Spec().Random(nw.rng),
-		nw.mesh.Spec().Random(nw.rng),
+		m.Spec().Random(nw.rng),
+		m.Spec().Random(nw.rng),
+		m.Spec().Random(nw.rng),
 	}
 	nw.mu.Unlock()
-	return append(out, nw.mesh.AuditUniqueRoots(keys)...)
+	return append(out, m.AuditUniqueRoots(keys)...)
 }
 
 // Stats summarises the overlay.
