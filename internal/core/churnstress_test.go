@@ -135,7 +135,7 @@ func dumpObject(m *Mesh, guid ids.ID, server, client *Node) string {
 					recs += fmt.Sprintf("(srv=%v lastHop=%v lvl=%d root=%v) ", r.server, r.lastHop, r.level, r.root)
 				}
 			}
-			state := cur.state
+			state := cur.state.load()
 			cur.mu.Unlock()
 			out += fmt.Sprintf("  node %v state=%d level=%d recs=%s\n", cur.id, state, level, recs)
 			return false

@@ -89,7 +89,7 @@ func (m *Mesh) Join(gateway *Node, newID ids.ID, addr netsim.Addr) (*Node, *nets
 	n.acquireNeighborTable(alphaList, alpha.Len(), cost)
 
 	n.mu.Lock()
-	n.state = stateActive
+	n.state.store(stateActive)
 	n.mu.Unlock()
 	// Only now release the §4.4 pins: while they were held, every multicast
 	// of a concurrently inserting node was forwarded to n, so the two could
@@ -101,7 +101,7 @@ func (m *Mesh) Join(gateway *Node, newID ids.ID, addr netsim.Addr) (*Node, *nets
 // abortJoin rolls back a half-registered node after a failed join.
 func (m *Mesh) abortJoin(n *Node) {
 	n.mu.Lock()
-	n.state = stateDead
+	n.state.store(stateDead)
 	n.mu.Unlock()
 	m.net.Detach(n.addr)
 	m.unregister(n)

@@ -40,11 +40,11 @@ func sortedGUIDs(objects map[ids.ID]*objState) []ids.ID {
 // the node disconnect.
 func (n *Node) Leave(cost *netsim.Cost) error {
 	n.mu.Lock()
-	if n.state == stateDead {
+	if n.state.load() == stateDead {
 		n.mu.Unlock()
 		return errors.New("core: node already gone")
 	}
-	n.state = stateLeaving
+	n.state.store(stateLeaving)
 	backs := n.backsByLevel()
 	n.mu.Unlock()
 
@@ -103,7 +103,7 @@ func (n *Node) Leave(cost *netsim.Cost) error {
 	backs = n.backsByLevel()
 	var forwards []route.Entry
 	n.table.ForEachNeighbor(func(_ int, e route.Entry) { forwards = append(forwards, e) })
-	n.state = stateDead
+	n.state.store(stateDead)
 	n.mu.Unlock()
 
 	seen := map[ids.ID]struct{}{}
@@ -237,7 +237,7 @@ func (h *Node) onPeerDeleted(dead ids.ID, cost *netsim.Cost) {
 // next republish reaches their new surrogates.
 func (m *Mesh) Fail(n *Node) {
 	n.mu.Lock()
-	n.state = stateDead
+	n.state.store(stateDead)
 	n.mu.Unlock()
 	m.net.Detach(n.addr)
 	m.unregister(n)

@@ -134,8 +134,9 @@ func (n *Node) LocateLocal(guid ids.ID, cost *netsim.Cost) (LocateResult, bool) 
 		key := n.mesh.cfg.Spec.Salt(guid, 0)
 		var found LocateResult
 		hops := 0
+		f := n.mesh.getFrames() // every hop's replica verification; the walk's steps use localWalk's own
 		n.localWalk(key, region, cost, func(cur *Node, level int) bool {
-			res, ok := cur.serveQueryLocal(guid, region, cost, &hops)
+			res, ok := cur.serveQueryLocal(f, guid, region, cost, &hops)
 			if ok {
 				found = res
 				return true
@@ -143,6 +144,7 @@ func (n *Node) LocateLocal(guid ids.ID, cost *netsim.Cost) (LocateResult, bool) 
 			hops++
 			return false
 		})
+		n.mesh.putFrames(f)
 		if found.Found {
 			return found, true
 		}
@@ -156,7 +158,7 @@ func (n *Node) LocateLocal(guid ids.ID, cost *netsim.Cost) (LocateResult, bool) 
 // turns out dead or no longer publishing is purged on the spot (previously
 // stale local pointers were silently skipped and re-probed by every later
 // query until TTL expiry).
-func (cur *Node) serveQueryLocal(guid ids.ID, region int, cost *netsim.Cost, hops *int) (LocateResult, bool) {
+func (cur *Node) serveQueryLocal(f *msgFrames, guid ids.ID, region int, cost *netsim.Cost, hops *int) (LocateResult, bool) {
 	var buf [16]pointerRec
 	for {
 		// Snapshot the stub-local records under the lock (the region check is
@@ -183,7 +185,7 @@ func (cur *Node) serveQueryLocal(guid ids.ID, region int, cost *netsim.Cost, hop
 			}
 		}
 		rec := recs[best]
-		if !cur.verifyReplica(guid, rec.server, rec.serverAddr, cost) {
+		if !cur.verifyReplica(f, guid, rec.server, rec.serverAddr, cost) {
 			cur.purgePointer(guid, rec.server, rec.key)
 			continue
 		}

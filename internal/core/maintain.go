@@ -262,7 +262,7 @@ func handleTerminalRecords(server, cur *Node, recs []wire.PubRec, idxs []int, co
 		return
 	}
 	cur.mu.Lock()
-	inserting := cur.state == stateInserting
+	inserting := cur.state.load() == stateInserting
 	bounce := inserting && !cur.psurrogate.ID.IsZero()
 	if !bounce {
 		for _, i := range idxs {

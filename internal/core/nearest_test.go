@@ -263,7 +263,7 @@ func meshFingerprint(m *Mesh) string {
 	var b strings.Builder
 	for _, n := range m.Nodes() {
 		n.mu.Lock()
-		fmt.Fprintf(&b, "node %v@%d state=%d\n", n.id, n.addr, n.state)
+		fmt.Fprintf(&b, "node %v@%d state=%d\n", n.id, n.addr, n.state.load())
 		for l := 0; l < n.table.Levels(); l++ {
 			for d := 0; d < n.table.Base(); d++ {
 				for _, e := range n.table.SetView(l, ids.Digit(d)) {

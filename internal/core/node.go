@@ -214,14 +214,23 @@ func (c Config) withDefaults() (Config, error) {
 }
 
 // nodeState tracks a node's lifecycle.
-type nodeState int
+type nodeState int32
 
 const (
-	stateInserting nodeState = iota
+	stateInserting nodeState = iota // the zero value: where newNode's nodes start
 	stateActive
 	stateLeaving
 	stateDead
 )
+
+// lifecycle holds a node's nodeState. Transitions happen under Node.mu, so
+// code that holds the lock sees a stable value; the per-message liveness
+// check (rpc, the TCP server) loads it without the lock — taking every
+// target's mutex just to peek at one word was a lock acquisition per hop.
+type lifecycle struct{ v atomic.Int32 }
+
+func (l *lifecycle) load() nodeState   { return nodeState(l.v.Load()) }
+func (l *lifecycle) store(s nodeState) { l.v.Store(int32(s)) }
 
 // Node is one Tapestry participant.
 type Node struct {
@@ -232,7 +241,7 @@ type Node struct {
 	mu      sync.Mutex
 	table   *route.Table
 	objects map[ids.ID]*objState // GUID -> pointer records
-	state   nodeState
+	state   lifecycle            // written under mu, readable without it
 
 	// published lists the GUIDs this node serves replicas of (it is a
 	// storage server for them); used for republish and audits.
@@ -397,7 +406,7 @@ func (m *Mesh) Bootstrap(id ids.ID, addr netsim.Addr) (*Node, error) {
 		return nil, errors.New("core: mesh already bootstrapped; use Join")
 	}
 	n := m.newNode(id, addr)
-	n.state = stateActive
+	n.state.store(stateActive)
 	if err := m.publish(n); err != nil {
 		return nil, err
 	}
@@ -414,7 +423,6 @@ func (m *Mesh) newNode(id ids.ID, addr netsim.Addr) *Node {
 		table:     route.New(m.cfg.Spec, id, addr, m.cfg.R),
 		objects:   make(map[ids.ID]*objState),
 		published: make(map[ids.ID]bool),
-		state:     stateInserting,
 		rootSalt:  uint64(stats.StreamSeed(m.cfg.Seed, id.String(), 0)),
 	}
 	if m.cfg.LocateCacheCap > 0 {
@@ -569,10 +577,7 @@ func (m *Mesh) rpc(from netsim.Addr, to route.Entry, cost *netsim.Cost, hop bool
 	if target == nil || !target.id.Equal(to.ID) {
 		return nil, &PeerError{To: to, Err: errDead}
 	}
-	target.mu.Lock()
-	dead := target.state == stateDead
-	target.mu.Unlock()
-	if dead {
+	if target.state.load() == stateDead {
 		return nil, &PeerError{To: to, Err: errDead}
 	}
 	// Response leg.

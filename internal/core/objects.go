@@ -368,12 +368,17 @@ func (n *Node) locateVia(guid ids.ID, salt int, cost *netsim.Cost) LocateResult 
 		if cacheOn {
 			path = append(path, cur)
 		}
-		if res, ok := cur.serveQuery(guid, cost, &hops); ok {
-			cachePathDeposit(path, guid, res)
-			return res
+		st, pointers := cur.locateStep(guid, key, level, deadSet, true)
+		if pointers {
+			if res, ok := cur.serveQuery(f, guid, cost, &hops); ok {
+				cachePathDeposit(path, guid, res)
+				return res
+			}
+			// Every record here was stale and is purged now: route onward.
+			st, _ = cur.locateStep(guid, key, level, deadSet, false)
 		}
 		if cacheOn {
-			if res, ok := cur.serveFromCache(guid, cost, &hops); ok {
+			if res, ok := cur.serveFromCache(f, guid, cost, &hops); ok {
 				cachePathDeposit(path, guid, res)
 				return res
 			}
@@ -387,22 +392,16 @@ func (n *Node) locateVia(guid ids.ID, salt int, cost *netsim.Cost) LocateResult 
 		}
 		visited = append(visited, cur.id)
 
-		// Decide and take the next hop, retrying through surviving entries
-		// when the chosen neighbor's host turns out dead (Observation 1
-		// fault tolerance): the corpse goes into deadSet and the decision is
+		// Take the next hop, retrying through surviving entries when the
+		// chosen neighbor's host turns out dead (Observation 1 fault
+		// tolerance): the corpse goes into deadSet and the decision is
 		// re-made at the same node instead of aborting the query. Each retry
 		// removes a table entry (noteDead) or excludes one, so the inner
 		// loop terminates.
 		for {
-			cur.mu.Lock()
-			dec := cur.nextHop(key, level, ids.ID{}, deadSet)
-			inserting := cur.state == stateInserting
-			psur := cur.psurrogate
-			alpha := cur.alpha
-			cur.mu.Unlock()
-
+			dec := st.dec
 			if dec.terminal {
-				if _, bounced := deadSet[cur.id]; inserting && !psur.ID.IsZero() && !bounced {
+				if _, bounced := deadSet[cur.id]; !st.psur.ID.IsZero() && !bounced {
 					// Figure 10: an inserting node that cannot satisfy the
 					// query bounces it to its pre-insertion surrogate, which
 					// routes as if the new node did not exist. The inserter
@@ -417,7 +416,7 @@ func (n *Node) locateVia(guid ids.ID, salt int, cost *netsim.Cost) LocateResult 
 					deadSet[cur.id] = struct{}{}
 					visited = visited[:0]
 					f.locate.Level, f.locate.Hops = level, hops
-					next, err := n.mesh.invoke(cur.addr, psur, &f.locate, msgAck, cost, true)
+					next, err := n.mesh.invoke(cur.addr, st.psur, &f.locate, msgAck, cost, true)
 					if err != nil {
 						return LocateResult{}
 					}
@@ -425,8 +424,8 @@ func (n *Node) locateVia(guid ids.ID, salt int, cost *netsim.Cost) LocateResult 
 					// Resume from the arrival level if below |α| (the key
 					// only provably shares min(arrival, |α|) digits with
 					// psur).
-					if alpha.Len() < level {
-						level = alpha.Len()
+					if st.alpha.Len() < level {
+						level = st.alpha.Len()
 					}
 					hops++
 					break
@@ -441,6 +440,7 @@ func (n *Node) locateVia(guid ids.ID, salt int, cost *netsim.Cost) LocateResult 
 				}
 				deadSet[dec.next.ID] = struct{}{}
 				cur.noteDead(dec.next, cost)
+				st, _ = cur.locateStep(guid, key, level, deadSet, false)
 				continue
 			}
 			cur = next
@@ -450,6 +450,37 @@ func (n *Node) locateVia(guid ids.ID, salt int, cost *netsim.Cost) LocateResult 
 		}
 	}
 	return LocateResult{Exhausted: true}
+}
+
+// hopStep is what a walk needs from the node it stands on to move: the
+// routing decision and — only where Figure 10's bounce can apply, at a
+// terminal that is still inserting — the insertion-window state (psur stays
+// zero everywhere else).
+type hopStep struct {
+	dec   hopDecision
+	psur  route.Entry
+	alpha ids.Prefix
+}
+
+// locateStep is a locate walk's one acquisition of cur's lock per hop. With
+// checkStore it first looks for pointer records for guid and, finding any,
+// reports pointers and decides nothing (serveQuery takes over — that is the
+// walk's last hop, unless every record proves stale); otherwise it makes the
+// routing decision for key. The store is consulted once per arrival: a
+// re-decision after a failed probe or a purge passes checkStore false.
+func (cur *Node) locateStep(guid, key ids.ID, level int, deadSet map[ids.ID]struct{}, checkStore bool) (st hopStep, pointers bool) {
+	cur.mu.Lock()
+	defer cur.mu.Unlock()
+	if checkStore {
+		if o := cur.objects[guid]; o != nil && len(o.recs) > 0 {
+			return st, true
+		}
+	}
+	st.dec = cur.nextHop(key, level, ids.ID{}, deadSet)
+	if st.dec.terminal && cur.state.load() == stateInserting {
+		st.psur, st.alpha = cur.psurrogate, cur.alpha
+	}
+	return st, false
 }
 
 // cachePathDeposit records a successful answer at every upstream hop of the
@@ -469,10 +500,9 @@ func cachePathDeposit(path []*Node, guid ids.ID, res LocateResult) {
 // verifyReplica pays the final hop to a claimed replica and checks, under
 // the replica's own lock, that it still publishes the object. This is THE
 // consistency rule of the serving layer: no pointer record and no cached
-// hint is ever served without this check succeeding.
-func (cur *Node) verifyReplica(guid, server ids.ID, addr netsim.Addr, cost *netsim.Cost) bool {
-	f := cur.mesh.getFrames()
-	defer cur.mesh.putFrames(f)
+// hint is ever served without this check succeeding. The exchange uses the
+// verify frames of f, the calling walk's bundle.
+func (cur *Node) verifyReplica(f *msgFrames, guid, server ids.ID, addr netsim.Addr, cost *netsim.Cost) bool {
 	f.verify.GUID = guid
 	if _, err := cur.mesh.invoke(cur.addr, entryAt(server, addr), &f.verify, &f.verifyResp, cost, true); err != nil {
 		return false
@@ -490,8 +520,10 @@ func (cur *Node) verifyReplica(guid, server ids.ID, addr netsim.Addr, cost *nets
 // per pointer hit), and a replica that turns out dead — or live but no
 // longer publishing — is purged from the store on the spot, so subsequent
 // queries stop burning a probe on it until the soft-state refresh
-// re-deposits a live pointer.
-func (cur *Node) serveQuery(guid ids.ID, cost *netsim.Cost, hops *int) (LocateResult, bool) {
+// re-deposits a live pointer. locateVia calls it only at a node where
+// locateStep saw records — the walk's last hop — so the hops before it do not
+// pay for zeroing the 1.6 KB buffer.
+func (cur *Node) serveQuery(f *msgFrames, guid ids.ID, cost *netsim.Cost, hops *int) (LocateResult, bool) {
 	var buf [16]pointerRec
 	for {
 		recs := buf[:0]
@@ -513,7 +545,7 @@ func (cur *Node) serveQuery(guid ids.ID, cost *netsim.Cost, hops *int) (LocateRe
 			}
 		}
 		rec := recs[best]
-		if !cur.verifyReplica(guid, rec.server, rec.serverAddr, cost) {
+		if !cur.verifyReplica(f, guid, rec.server, rec.serverAddr, cost) {
 			// Stale pointer (dead host, reused address, or a replica that
 			// withdrew): drop it and re-select from what remains.
 			cur.purgePointer(guid, rec.server, rec.key)
@@ -535,7 +567,7 @@ func (cur *Node) serveQuery(guid ids.ID, cost *netsim.Cost, hops *int) (LocateRe
 // cache entry can short-cut the route but never vouch for liveness — and a
 // failed verification drops the entry and reports a miss so the query
 // resumes ordinary routing.
-func (cur *Node) serveFromCache(guid ids.ID, cost *netsim.Cost, hops *int) (LocateResult, bool) {
+func (cur *Node) serveFromCache(f *msgFrames, guid ids.ID, cost *netsim.Cost, hops *int) (LocateResult, bool) {
 	if cur.cache == nil {
 		return LocateResult{}, false
 	}
@@ -546,7 +578,7 @@ func (cur *Node) serveFromCache(guid ids.ID, cost *netsim.Cost, hops *int) (Loca
 	if !ok {
 		return LocateResult{}, false
 	}
-	if !cur.verifyReplica(guid, ent.server, ent.serverAddr, cost) {
+	if !cur.verifyReplica(f, guid, ent.server, ent.serverAddr, cost) {
 		// Stale hint: the replica is gone or withdrew. Drop it; the probe's
 		// cost is the price of the shortcut, the fallback is the normal path.
 		cur.mu.Lock()

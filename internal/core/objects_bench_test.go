@@ -65,11 +65,13 @@ func BenchmarkServeQueryManyPointers(b *testing.B) {
 			if serving == nil {
 				b.Fatal("no node aggregates all replica pointers")
 			}
+			f := serving.mesh.getFrames()
+			defer serving.mesh.putFrames(f)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				hops := 0
-				if _, ok := serving.serveQuery(guid, nil, &hops); !ok {
+				if _, ok := serving.serveQuery(f, guid, nil, &hops); !ok {
 					b.Fatal("pointer hit expected")
 				}
 			}

@@ -199,7 +199,7 @@ func (n *Node) routeToKey(key ids.ID, cost *netsim.Cost, op wire.RouteOp, visit 
 		visited = true
 		cur.mu.Lock()
 		dec := cur.nextHop(key, level, ids.ID{}, deadSet)
-		inserting := cur.state == stateInserting
+		inserting := cur.state.load() == stateInserting
 		psur := cur.psurrogate
 		alpha := cur.alpha
 		cur.mu.Unlock()
@@ -300,7 +300,7 @@ func (n *Node) SurrogateFor(key ids.ID, cost *netsim.Cost) (*Node, int, error) {
 // this node's table (one per level the corpse occupied).
 func (n *Node) noteDead(e route.Entry, cost *netsim.Cost) int {
 	n.mu.Lock()
-	if n.state == stateDead {
+	if n.state.load() == stateDead {
 		n.mu.Unlock()
 		return 0
 	}

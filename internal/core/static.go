@@ -235,7 +235,7 @@ func registerStatic(net *netsim.Network, cfg Config, parts []Participant) (*Mesh
 	nodes := make([]*Node, len(parts))
 	for i, p := range parts {
 		n := m.newNode(p.ID, p.Addr)
-		n.state = stateActive
+		n.state.store(stateActive)
 		if err := m.publish(n); err != nil {
 			return nil, nil, err // unreachable: duplicates rejected above
 		}

@@ -10,6 +10,7 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"tapestry/internal/ids"
 	"tapestry/internal/netsim"
@@ -27,9 +28,9 @@ import (
 //     direct method call; behavior and simulated-cost accounting are
 //     byte-identical to the pre-transport code.
 //   - TransportLoopback: identical charging, but every request and response
-//     round-trips through the wire codec (encode -> decode into a fresh
-//     struct) before the peer sees it, so running the full test suite under
-//     it proves every RPC survives serialization.
+//     round-trips through the wire codec (encode -> decode into a recycled
+//     struct of its type) before the peer sees it, so running the full test
+//     suite under it proves every RPC survives serialization.
 //   - TransportTCP: every message additionally crosses a real socket through
 //     a per-mesh loopback listener. Simulated costs are still charged on the
 //     caller (the cost model is the simulator's, not the kernel's); peer-side
@@ -221,6 +222,11 @@ func newTransport(m *Mesh, k TransportKind) (Transport, error) {
 // point where the pre-transport code performed these mutations inline at the
 // call site. cost is the operation's meter on direct/loopback and nil on the
 // TCP server side.
+//
+// req and resp belong to the transport, which reuses them for the next
+// message of their type: a handler must not retain req, resp or any slice
+// inside them past return (it copies out what it keeps), and must overwrite
+// every field of resp.
 func (target *Node) dispatch(req, resp wire.Msg, cost *netsim.Cost) {
 	switch q := req.(type) {
 	case *wire.Ping, *wire.Ack, *wire.ReacquireReq,
@@ -315,18 +321,47 @@ func (t directTransport) OneWay(from netsim.Addr, to route.Entry, msg wire.Msg, 
 
 func (t directTransport) Close() error { return nil }
 
+// msgSet holds one recycled message struct per wire type, made on first use.
+// A transport that owns one decodes every message of a type into the same
+// struct, so a fixed-size message costs no allocation to receive.
+type msgSet []wire.Msg
+
+// get returns the set's struct for t, or nil when t is not a defined type.
+func (s *msgSet) get(t wire.Type) wire.Msg {
+	for int(t) >= len(*s) {
+		*s = append(*s, nil)
+	}
+	if (*s)[t] == nil {
+		(*s)[t] = wire.New(t)
+	}
+	return (*s)[t]
+}
+
 // loopbackTransport charges and resolves exactly like direct, but the request
-// is encoded and decoded into a fresh struct before the peer dispatches it,
-// and the response is encoded by the peer and decoded back into the caller's
-// struct. A codec defect anywhere is a loud panic under the test suite rather
-// than silent state corruption.
+// is encoded and decoded into the scratch's recycled struct of its type
+// before the peer dispatches it, and the response is encoded by the peer and
+// decoded back into the caller's struct. A codec defect anywhere is a loud
+// panic under the test suite rather than silent state corruption.
+//
+// The scratch is held THROUGH dispatch: the handler reads the recycled
+// request in place, and whatever the handler sends itself takes another
+// scratch from the pool. The rule that makes recycling sound is the one the
+// direct path always imposed through msgFrames — a handler must not retain
+// its request struct, or any slice of it, past return.
 type loopbackTransport struct {
 	m    *Mesh
 	pool sync.Pool // *loopScratch
+
+	// afterDispatch, when set (tests only), sees each recycled request struct
+	// the moment its handler has returned.
+	afterDispatch func(req wire.Msg)
 }
 
+// loopScratch is one message exchange's codec state and recycled structs.
 type loopScratch struct {
-	buf []byte
+	enc         wire.Enc
+	dec         wire.Dec
+	reqs, resps msgSet // what a peer's handler is given, what it fills
 }
 
 func (t *loopbackTransport) Kind() TransportKind { return TransportLoopback }
@@ -338,14 +373,13 @@ func (t *loopbackTransport) getScratch() *loopScratch {
 	return &loopScratch{}
 }
 
-// roundTrip encodes m and decodes it into a fresh struct of the same type.
-func (t *loopbackTransport) roundTrip(s *loopScratch, m wire.Msg) wire.Msg {
-	s.buf = wire.AppendFrame(s.buf[:0], m)
-	out, n, err := wire.DecodeFrame(s.buf)
-	if err != nil || n != len(s.buf) {
-		panic(fmt.Sprintf("core: loopback codec round-trip of %T failed: consumed %d/%d bytes, err=%v", m, n, len(s.buf), err))
+// roundTrip encodes m and decodes the frame into the struct `into`.
+func (s *loopScratch) roundTrip(m, into wire.Msg) {
+	s.enc.Reset()
+	s.enc.Frame(m)
+	if n, err := s.dec.Frame(s.enc.Bytes(), into); err != nil || n != len(s.enc.Bytes()) {
+		panic(fmt.Sprintf("core: loopback codec round-trip of %T failed: consumed %d/%d bytes, err=%v", m, n, len(s.enc.Bytes()), err))
 	}
-	return out
 }
 
 func (t *loopbackTransport) Invoke(from netsim.Addr, to route.Entry, req, resp wire.Msg, cost *netsim.Cost, hop bool) (*Node, error) {
@@ -354,12 +388,12 @@ func (t *loopbackTransport) Invoke(from netsim.Addr, to route.Entry, req, resp w
 		return nil, err
 	}
 	s := t.getScratch()
-	wireReq := t.roundTrip(s, req)
-	wireResp := wire.New(resp.WireType())
+	wireReq, wireResp := s.reqs.get(req.WireType()), s.resps.get(resp.WireType())
+	s.roundTrip(req, wireReq)
 	target.dispatch(wireReq, wireResp, cost)
-	s.buf = wire.AppendFrame(s.buf[:0], wireResp)
-	if _, err := wire.DecodeFrameInto(s.buf, resp); err != nil {
-		panic(fmt.Sprintf("core: loopback codec response round-trip of %T failed: %v", wireResp, err))
+	s.roundTrip(wireResp, resp)
+	if t.afterDispatch != nil {
+		t.afterDispatch(wireReq)
 	}
 	t.pool.Put(s)
 	return target, nil
@@ -371,9 +405,13 @@ func (t *loopbackTransport) OneWay(from netsim.Addr, to route.Entry, msg wire.Ms
 		return nil, err
 	}
 	s := t.getScratch()
-	wireMsg := t.roundTrip(s, msg)
-	t.pool.Put(s)
+	wireMsg := s.reqs.get(msg.WireType())
+	s.roundTrip(msg, wireMsg)
 	target.dispatch(wireMsg, nil, cost)
+	if t.afterDispatch != nil {
+		t.afterDispatch(wireMsg)
+	}
+	t.pool.Put(s)
 	return target, nil
 }
 
@@ -388,11 +426,40 @@ func (t *loopbackTransport) Close() error { return nil }
 // and the reply is [u8 status: 0 ok / 1 peer gone][framed response] (invoke)
 // or just the status byte (one-way — an uncharged transport-level ack that
 // preserves the package's synchronous delivery semantics).
+//
+// Both ends keep their buffers, codec state and message structs with the
+// connection: the client reads each reply through the connection's
+// bufio.Reader (the status byte, frame header and body the server flushed
+// together arrive in one read), and the server decodes every request into
+// its connection's recycled struct of that type — held through dispatch, as
+// on loopback, and under the same no-retention rule.
 type tcpTransport struct {
 	m      *Mesh
 	ln     net.Listener
-	conns  chan net.Conn
+	conns  chan *tcpConn
 	closed atomic.Bool
+
+	// timeout bounds one exchange on the client side (tcpExchangeTimeout
+	// outside tests): a peer that accepts and never answers must cost a
+	// caller one bounded wait, not a pooled connection forever.
+	timeout time.Duration
+
+	// afterDispatch is loopbackTransport's test hook, on the server side.
+	afterDispatch func(req wire.Msg)
+}
+
+// tcpExchangeTimeout is generous because a handler may itself run a whole
+// operation over further exchanges (a PublishReq republishes, a
+// JoinSnapshotReq notifies) before it answers.
+const tcpExchangeTimeout = 30 * time.Second
+
+// tcpConn is one pooled client connection with everything an exchange needs.
+type tcpConn struct {
+	net.Conn
+	br  *bufio.Reader
+	out wire.Enc // request header + frame
+	in  []byte   // response frame
+	dec wire.Dec
 }
 
 func newTCPTransport(m *Mesh) (*tcpTransport, error) {
@@ -403,7 +470,7 @@ func newTCPTransport(m *Mesh) (*tcpTransport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: tcp transport listener: %w", err)
 	}
-	t := &tcpTransport{m: m, ln: ln, conns: make(chan net.Conn, 64)}
+	t := &tcpTransport{m: m, ln: ln, conns: make(chan *tcpConn, 64), timeout: tcpExchangeTimeout}
 	go t.acceptLoop()
 	return t, nil
 }
@@ -428,7 +495,13 @@ func (t *tcpTransport) serveConn(conn net.Conn) {
 	defer conn.Close()
 	br := bufio.NewReader(conn)
 	bw := bufio.NewWriter(conn)
-	var frame, out []byte
+	var (
+		frame       []byte
+		out         wire.Enc
+		dec         wire.Dec
+		reqs, resps msgSet
+		toID        [64]ids.Digit
+	)
 	for {
 		kind, err := br.ReadByte()
 		if err != nil {
@@ -438,8 +511,11 @@ func (t *tcpTransport) serveConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		toID, err := readWireID(br)
-		if err != nil {
+		idLen, err := br.ReadByte()
+		if err != nil || int(idLen) > len(toID) {
+			return
+		}
+		if _, err := io.ReadFull(br, toID[:idLen]); err != nil {
 			return
 		}
 		respType, err := br.ReadByte()
@@ -450,16 +526,17 @@ func (t *tcpTransport) serveConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		req, _, err := wire.DecodeFrame(frame)
-		if err != nil {
+		req := reqs.get(wire.Type(frame[4])) // ReadFrame returns at least [len][type]
+		if req == nil {
+			return
+		}
+		if _, err := dec.Frame(frame, req); err != nil {
 			return
 		}
 		target := t.m.NodeAt(netsim.Addr(toAddr))
-		ok := target != nil && target.id.Equal(toID)
+		ok := target != nil && target.id.EqualDigits(toID[:idLen])
 		if ok && kind == 0 {
-			target.mu.Lock()
-			ok = target.state != stateDead
-			target.mu.Unlock()
+			ok = target.state.load() != stateDead
 		}
 		if !ok {
 			if err := bw.WriteByte(1); err != nil {
@@ -470,26 +547,27 @@ func (t *tcpTransport) serveConn(conn net.Conn) {
 			}
 			continue
 		}
+		if err := bw.WriteByte(0); err != nil {
+			return
+		}
 		if kind == 0 {
-			resp := wire.New(wire.Type(respType))
+			resp := resps.get(wire.Type(respType))
 			if resp == nil {
 				return
 			}
 			// A *netsim.Cost cannot cross a socket: peer-side work runs
 			// uncharged here (see the file comment).
 			target.dispatch(req, resp, nil)
-			if err := bw.WriteByte(0); err != nil {
-				return
-			}
-			out, err = wire.WriteMsg(bw, out, resp)
-			if err != nil {
+			out.Reset()
+			out.Frame(resp)
+			if _, err := bw.Write(out.Bytes()); err != nil {
 				return
 			}
 		} else {
 			target.dispatch(req, nil, nil)
-			if err := bw.WriteByte(0); err != nil {
-				return
-			}
+		}
+		if t.afterDispatch != nil {
+			t.afterDispatch(req)
 		}
 		if err := bw.Flush(); err != nil {
 			return
@@ -497,32 +575,20 @@ func (t *tcpTransport) serveConn(conn net.Conn) {
 	}
 }
 
-// readWireID reads the codec's ID shape (u8 count + digits) from a stream.
-func readWireID(br *bufio.Reader) (ids.ID, error) {
-	n, err := br.ReadByte()
-	if err != nil {
-		return ids.ID{}, err
-	}
-	if n > 64 {
-		return ids.ID{}, fmt.Errorf("core: tcp header id length %d", n)
-	}
-	buf := make([]ids.Digit, n)
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return ids.ID{}, err
-	}
-	return ids.FromDigits(buf), nil
-}
-
-func (t *tcpTransport) getConn() (net.Conn, error) {
+func (t *tcpTransport) getConn() (*tcpConn, error) {
 	select {
 	case c := <-t.conns:
 		return c, nil
 	default:
-		return net.Dial("tcp", t.ln.Addr().String())
+		conn, err := net.Dial("tcp", t.ln.Addr().String())
+		if err != nil {
+			return nil, err
+		}
+		return &tcpConn{Conn: conn, br: bufio.NewReader(conn)}, nil
 	}
 }
 
-func (t *tcpTransport) putConn(c net.Conn) {
+func (t *tcpTransport) putConn(c *tcpConn) {
 	if t.closed.Load() {
 		c.Close()
 		return
@@ -534,75 +600,83 @@ func (t *tcpTransport) putConn(c net.Conn) {
 	}
 }
 
-// exchange performs one header+frame request and reads the status byte,
-// returning an open connection positioned before any response frame.
-func (t *tcpTransport) exchange(kind byte, to route.Entry, respType wire.Type, req wire.Msg) (net.Conn, byte, error) {
-	conn, err := t.getConn()
+// exchange performs one bounded request/reply on a pooled connection: header
+// and framed request out, status byte in and — for an invoke the peer
+// accepted — the framed response decoded into resp (nil for a one-way). A
+// connection that fails or times out anywhere is closed, never re-pooled: a
+// late reply would otherwise be read as the answer to the next request.
+func (t *tcpTransport) exchange(kind byte, to route.Entry, req, resp wire.Msg) (status byte, err error) {
+	c, err := t.getConn()
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	var e wire.Enc
-	e.U8(kind)
-	e.Int(int(to.Addr))
-	e.ID(to.ID)
-	e.U8(byte(respType))
-	buf := wire.AppendFrame(e.Bytes(), req)
-	if _, err := conn.Write(buf); err != nil {
-		conn.Close()
-		return nil, 0, err
+	defer func() {
+		if err != nil {
+			c.Close()
+		} else {
+			t.putConn(c)
+		}
+	}()
+	if err = c.SetDeadline(time.Now().Add(t.timeout)); err != nil {
+		return 0, err
 	}
-	var status [1]byte
-	if _, err := io.ReadFull(conn, status[:]); err != nil {
-		conn.Close()
-		return nil, 0, err
+	respType := wire.Type(0)
+	if resp != nil {
+		respType = resp.WireType()
 	}
-	return conn, status[0], nil
+	c.out.Reset()
+	c.out.U8(kind)
+	c.out.Int(int(to.Addr))
+	c.out.ID(to.ID)
+	c.out.U8(byte(respType))
+	c.out.Frame(req)
+	if _, err = c.Write(c.out.Bytes()); err != nil {
+		return 0, err
+	}
+	if status, err = c.br.ReadByte(); err != nil || status != 0 || resp == nil {
+		return status, err
+	}
+	if c.in, err = wire.ReadFrame(c.br, c.in); err != nil {
+		return 0, err
+	}
+	_, err = c.dec.Frame(c.in, resp)
+	return 0, err
 }
 
 func (t *tcpTransport) Invoke(from netsim.Addr, to route.Entry, req, resp wire.Msg, cost *netsim.Cost, hop bool) (*Node, error) {
 	if err := t.m.net.Send(from, to.Addr, cost, hop); err != nil {
 		return nil, &PeerError{To: to, Err: err}
 	}
-	conn, status, err := t.exchange(0, to, resp.WireType(), req)
+	status, err := t.exchange(0, to, req, resp)
 	if err != nil {
 		return nil, &PeerError{To: to, Err: err}
 	}
 	if status != 0 {
-		t.putConn(conn)
 		return nil, &PeerError{To: to, Err: errDead}
 	}
-	frame, err := wire.ReadFrame(conn, nil)
-	if err != nil {
-		conn.Close()
-		return nil, &PeerError{To: to, Err: err}
-	}
-	if _, err := wire.DecodeFrameInto(frame, resp); err != nil {
-		conn.Close()
-		return nil, &PeerError{To: to, Err: err}
-	}
-	t.putConn(conn)
 	// Response leg, charged exactly where the direct path charges it: only
 	// after the peer proved live.
 	_ = t.m.net.Send(to.Addr, from, cost, false)
-	target := t.m.NodeAt(to.Addr)
-	if target == nil || !target.id.Equal(to.ID) {
-		return nil, &PeerError{To: to, Err: errDead}
-	}
-	return target, nil
+	return t.resolve(to)
 }
 
 func (t *tcpTransport) OneWay(from netsim.Addr, to route.Entry, msg wire.Msg, cost *netsim.Cost) (*Node, error) {
 	if err := t.m.net.Send(from, to.Addr, cost, false); err != nil {
 		return nil, &PeerError{To: to, Err: err}
 	}
-	conn, status, err := t.exchange(1, to, 0, msg)
+	status, err := t.exchange(1, to, msg, nil)
 	if err != nil {
 		return nil, &PeerError{To: to, Err: err}
 	}
-	t.putConn(conn)
 	if status != 0 {
 		return nil, &PeerError{To: to, Err: errDead}
 	}
+	return t.resolve(to)
+}
+
+// resolve hands the walk drivers the in-process node behind an entry the
+// peer just answered for.
+func (t *tcpTransport) resolve(to route.Entry) (*Node, error) {
 	target := t.m.NodeAt(to.Addr)
 	if target == nil || !target.id.Equal(to.ID) {
 		return nil, &PeerError{To: to, Err: errDead}

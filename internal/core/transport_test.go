@@ -3,7 +3,11 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"net"
+	"os"
+	"sync"
 	"testing"
+	"time"
 
 	"tapestry/internal/ids"
 	"tapestry/internal/metric"
@@ -180,5 +184,128 @@ func TestParseTransport(t *testing.T) {
 	}
 	if _, err := ParseTransport("carrier-pigeon"); err == nil {
 		t.Error("ParseTransport accepted an unknown backend")
+	}
+}
+
+// TestLoopbackInvokeAllocatesNothing pins the per-message budget of the codec
+// path: once the scratch is warm, a locate hop (LocateStep/Ack) and a replica
+// verification (VerifyReq/VerifyResp) each round-trip request and response
+// through the wire format without touching the heap.
+func TestLoopbackInvokeAllocatesNothing(t *testing.T) {
+	if poolDropsItems() {
+		t.Skip("sync.Pool is dropping items (the race detector does, on purpose): allocation counts would measure that")
+	}
+	m, nodes := buildMeshTransport(t, 16, 7, TransportLoopback)
+	from, to := nodes[1], nodes[2]
+	peer := to.entryFor(from.addr)
+	guid := testSpec.Hash("budget")
+	if err := to.Publish(guid, nil); err != nil {
+		t.Fatal(err)
+	}
+	f := m.getFrames()
+	defer m.putFrames(f)
+	f.locate.GUID, f.locate.Key, f.locate.Level, f.locate.Hops = guid, guid, 1, 2
+	f.verify.GUID = guid
+	cost := &netsim.Cost{}
+	for name, invoke := range map[string]func() error{
+		"LocateStep/Ack": func() error {
+			_, err := m.invoke(from.addr, peer, &f.locate, msgAck, cost, true)
+			return err
+		},
+		"VerifyReq/VerifyResp": func() error {
+			_, err := m.invoke(from.addr, peer, &f.verify, &f.verifyResp, cost, true)
+			return err
+		},
+	} {
+		if err := invoke(); err != nil { // warms the scratch and its recycled structs
+			t.Fatalf("%s: %v", name, err)
+		}
+		if n := testing.AllocsPerRun(200, func() { _ = invoke() }); n != 0 {
+			t.Errorf("%s: %v allocs per loopback Invoke, want 0", name, n)
+		}
+	}
+	if !f.verifyResp.Serves {
+		t.Error("VerifyResp.Serves = false for a published object")
+	}
+}
+
+// poolDropsItems reports whether a sync.Pool loses what was just put into it,
+// as it does under the race detector, which discards a quarter of all Puts.
+func poolDropsItems() bool {
+	var p sync.Pool
+	item := new(int)
+	for i := 0; i < 64; i++ {
+		p.Put(item)
+		if p.Get() == nil {
+			return true
+		}
+	}
+	return false
+}
+
+// TestTCPExchangeTimeout drives the TCP client against a listener that
+// accepts and never answers: every exchange must come back within the bound
+// as a *PeerError wrapping a timeout, and the connection it hung on must be
+// closed rather than pooled for the next caller to hang on.
+func TestTCPExchangeTimeout(t *testing.T) {
+	m, nodes := buildMeshTransport(t, 8, 3, TransportDirect) // charges and resolves; carries no message
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted := make(chan []net.Conn)
+	go func() {
+		var held []net.Conn
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				accepted <- held
+				return
+			}
+			held = append(held, c)
+		}
+	}()
+	tr := &tcpTransport{m: m, ln: ln, conns: make(chan *tcpConn, 64), timeout: 40 * time.Millisecond}
+	from, peer := nodes[0], nodes[1].entryFor(nodes[0].addr)
+	for i, call := range []func() (*Node, error){
+		func() (*Node, error) { return tr.Invoke(from.addr, peer, msgPing, msgAck, nil, false) },
+		func() (*Node, error) { return tr.OneWay(from.addr, peer, msgPing, nil) },
+		func() (*Node, error) { return tr.Invoke(from.addr, peer, msgPing, msgAck, nil, false) },
+	} {
+		start := time.Now()
+		_, err := call()
+		var pe *PeerError
+		var ne net.Error
+		if !errors.As(err, &pe) || !errors.As(err, &ne) || !ne.Timeout() || !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("exchange %d: err = %v, want a *PeerError wrapping a timeout", i, err)
+		}
+		if d := time.Since(start); d > 5*time.Second {
+			t.Errorf("exchange %d took %v against a %v bound", i, d, tr.timeout)
+		}
+		if n := len(tr.conns); n != 0 {
+			t.Fatalf("exchange %d: %d connections pooled after a timeout, want 0", i, n)
+		}
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	held := <-accepted
+	if len(held) != 3 {
+		t.Errorf("the hung peer saw %d connections, want one per exchange (3)", len(held))
+	}
+	for _, c := range held {
+		// The client closed its end: the peer reads the request it never
+		// answered and then EOF, not a connection still open for reuse.
+		c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		buf := make([]byte, 256)
+		for {
+			if _, err := c.Read(buf); err != nil {
+				if ne, ok := err.(net.Error); ok && ne.Timeout() {
+					t.Error("a timed-out connection is still open on the client side")
+				}
+				break
+			}
+		}
+		c.Close()
 	}
 }

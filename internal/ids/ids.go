@@ -197,6 +197,11 @@ func (id ID) IsZero() bool { return id.digits == "" }
 // Equal reports whether two identifiers have identical digit strings.
 func (id ID) Equal(other ID) bool { return id.digits == other.digits }
 
+// EqualDigits reports whether id consists of exactly the given digits,
+// without building an ID from them (the wire codec's check before it keeps a
+// recycled identifier).
+func (id ID) EqualDigits(digits []Digit) bool { return id.digits == string(digits) }
+
 // Less orders identifiers lexicographically by digit, which coincides with
 // numeric order since all IDs have equal length.
 func (id ID) Less(other ID) bool { return id.digits < other.digits }

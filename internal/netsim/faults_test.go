@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"errors"
+	"sync"
 	"testing"
 
 	"tapestry/internal/metric"
@@ -222,4 +223,75 @@ func TestFaultRateValidation(t *testing.T) {
 		}()
 		n.SetPartition([]int{0, 1})
 	}()
+}
+
+// TestTotalMessagesExactUnderConcurrency pins the striped counter: with many
+// goroutines sending from many addresses at once, under a duplication rate
+// that makes some sends count twice, the summed stripes equal exactly the
+// sends made plus the duplicates injected, and every per-op ledger agrees.
+func TestTotalMessagesExactUnderConcurrency(t *testing.T) {
+	const goroutines, sends = 8, 4000
+	n := faultNet(t, 256)
+	n.SetLinkFaults(0, 0.3, 41)
+	costs := make([]Cost, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < sends; i++ {
+				// Walk the senders so every stripe is hit from every goroutine.
+				from := Addr((g*31 + i) % 256)
+				if err := n.Send(from, Addr((i*7+g)%256), &costs[g], i%2 == 0); err != nil {
+					t.Errorf("goroutine %d send %d: %v", g, i, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	s := n.Stats()
+	if s.Duplicated == 0 || s.Duplicated == goroutines*sends {
+		t.Fatalf("duplicated = %d of %d sends: the rate did not take", s.Duplicated, goroutines*sends)
+	}
+	if want := int64(goroutines*sends) + s.Duplicated; s.TotalMessages != want || n.TotalMessages() != want {
+		t.Fatalf("TotalMessages = %d (Stats %d), want %d sends + %d duplicates = %d",
+			n.TotalMessages(), s.TotalMessages, goroutines*sends, s.Duplicated, want)
+	}
+	var charged int64
+	for g := range costs {
+		charged += int64(costs[g].Messages())
+	}
+	if charged != s.TotalMessages {
+		t.Fatalf("per-op ledgers charged %d messages, network counted %d", charged, s.TotalMessages)
+	}
+}
+
+// TestSendErrorText pins the failure Send returns: it matches ErrUnreachable
+// and reads as it always has, for each of the three causes.
+func TestSendErrorText(t *testing.T) {
+	down := faultNet(t, 16)
+	down.Detach(5)
+	cut := faultNet(t, 16)
+	group := make([]int, 16)
+	group[5] = 1
+	cut.SetPartition(group)
+	lossy := faultNet(t, 16)
+	lossy.SetLinkFaults(1, 0, 3)
+	for _, tc := range []struct {
+		net  *Network
+		want string
+	}{
+		{down, "netsim: destination unreachable: 3 -> 5"},
+		{cut, "netsim: destination unreachable: 3 -> 5 (partitioned)"},
+		{lossy, "netsim: destination unreachable: 3 -> 5 (message lost)"},
+	} {
+		err := tc.net.Send(3, 5, nil, true)
+		if !errors.Is(err, ErrUnreachable) {
+			t.Errorf("err = %v, want ErrUnreachable", err)
+		}
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("err = %q, want %q", err, tc.want)
+		}
+	}
 }

@@ -32,6 +32,30 @@ type Addr int
 // address.
 var ErrUnreachable = errors.New("netsim: destination unreachable")
 
+// sendError is the failure Send returns: a message from -> to that was not
+// delivered because the destination is down (verdictDeliver: the network let
+// it through), the link is cut by a partition, or the message was lost. It
+// matches ErrUnreachable under errors.Is. Failed probes are routine under
+// churn (every heartbeat to a corpse produces one), so the text is built only
+// if somebody asks for it.
+type sendError struct {
+	from, to Addr
+	verdict  sendVerdict
+}
+
+func (e *sendError) Error() string {
+	why := ""
+	switch e.verdict {
+	case verdictBlocked:
+		why = " (partitioned)"
+	case verdictLost:
+		why = " (message lost)"
+	}
+	return fmt.Sprintf("%v: %d -> %d%s", ErrUnreachable, e.from, e.to, why)
+}
+
+func (e *sendError) Unwrap() error { return ErrUnreachable }
+
 // Cost accumulates the expense of one logical operation (a lookup, a join,
 // a multicast...). A nil *Cost is valid everywhere and records nothing,
 // which keeps hot paths free of conditionals at call sites.
@@ -169,15 +193,17 @@ func (c *Cost) String() string {
 // Liveness is a word-packed atomic bitset with a maintained live count, so
 // the Send/Alive hot path and LiveCount are lock-free: concurrent sends,
 // attaches and detaches never serialise on a network-wide lock.
+//
+// The layout keeps what every Send and Alive only READS (the first group)
+// off every cache line a Send WRITES: messages are counted in sentStripes
+// padded counters picked by sender address, so goroutines walking different
+// nodes neither bounce a shared counter line between cores nor evict the
+// fields their next Send must load.
 type Network struct {
 	space metric.Space
 	size  int
 
-	live      []atomic.Uint64 // bit a&63 of word a>>6 = address a is attached
-	liveCount atomic.Int64
-
-	totalMessages atomic.Int64
-	epoch         atomic.Int64
+	live []atomic.Uint64 // bit a&63 of word a>>6 = address a is attached
 
 	// load, when enabled, counts messages ADDRESSED to each address — the
 	// hotspot measurement for the serving-layer experiments. A probe to a
@@ -202,9 +228,38 @@ type Network struct {
 	// sees either the old or the new state, never a torn one.
 	faults atomic.Pointer[faultState]
 
+	epoch atomic.Int64 // read by every publish, written once per Tick
+
+	_ [cacheLine]byte // everything above is read-mostly; everything below is written by traffic
+
+	liveCount  atomic.Int64
 	lost       atomic.Int64 // messages dropped by injected link loss
 	duplicated atomic.Int64 // extra deliveries from injected duplication
 	blocked    atomic.Int64 // messages refused across an active partition cut
+
+	// sent counts every charged message, duplicates included, striped by
+	// sender address; TotalMessages sums the stripes.
+	sent [sentStripes]sentStripe
+}
+
+// cacheLine is the padding unit: two 64-byte lines, because the adjacent-line
+// prefetcher of current x86 parts pulls lines in aligned pairs.
+const cacheLine = 128
+
+// sentStripes is the number of message counters (a power of two: the stripe
+// is the low bits of the sender's address).
+const sentStripes = 64
+
+// sentStripe is one message counter alone on its cache line(s). The pad comes
+// first so stripe 0 is also clear of the counters declared before the array.
+type sentStripe struct {
+	_ [cacheLine - 8]byte
+	n atomic.Int64
+}
+
+// countSent records one charged message sent from addr.
+func (n *Network) countSent(from Addr) {
+	n.sent[uint(from)%sentStripes].n.Add(1)
 }
 
 // Stats is a snapshot of the network-wide message counters, including
@@ -222,7 +277,7 @@ type Stats struct {
 // experiment in this repository does between phases.
 func (n *Network) Stats() Stats {
 	return Stats{
-		TotalMessages: n.totalMessages.Load(),
+		TotalMessages: n.TotalMessages(),
 		Lost:          n.lost.Load(),
 		Duplicated:    n.duplicated.Load(),
 		Blocked:       n.blocked.Load(),
@@ -441,7 +496,7 @@ func (n *Network) LiveCount() int {
 // resources). hop marks application-level routing hops; acknowledgments and
 // control chatter pass hop=false.
 func (n *Network) Send(from, to Addr, cost *Cost, hop bool) error {
-	n.totalMessages.Add(1)
+	n.countSent(from)
 	if n.load != nil {
 		n.load[to].Add(1)
 	}
@@ -470,23 +525,23 @@ func (n *Network) Send(from, to Addr, cost *Cost, hop bool) error {
 	switch verdict {
 	case verdictBlocked:
 		n.blocked.Add(1)
-		return fmt.Errorf("%w: %d -> %d (partitioned)", ErrUnreachable, from, to)
+		return &sendError{from, to, verdict}
 	case verdictLost:
 		n.lost.Add(1)
-		return fmt.Errorf("%w: %d -> %d (message lost)", ErrUnreachable, from, to)
+		return &sendError{from, to, verdict}
 	case verdictDuplicated:
 		// The spurious copy consumes bandwidth and hits the receiver like
 		// any other message, but is not a routing hop and adds no latency
 		// beyond the original.
 		n.duplicated.Add(1)
-		n.totalMessages.Add(1)
+		n.countSent(from)
 		if n.load != nil {
 			n.load[to].Add(1)
 		}
 		cost.Add(d, false)
 	}
 	if !n.Alive(to) {
-		return fmt.Errorf("%w: %d -> %d", ErrUnreachable, from, to)
+		return &sendError{from, to, verdictDeliver}
 	}
 	return nil
 }
@@ -511,8 +566,17 @@ func (n *Network) RPC(from, to Addr, cost *Cost) error {
 	return n.Send(to, from, cost, false)
 }
 
-// TotalMessages returns the network-wide message count since construction.
-func (n *Network) TotalMessages() int64 { return n.totalMessages.Load() }
+// TotalMessages returns the network-wide message count since construction:
+// the sum of the sender-striped counters. Exact once traffic has quiesced;
+// against concurrent senders each stripe is read atomically, like the other
+// Stats fields.
+func (n *Network) TotalMessages() int64 {
+	var total int64
+	for i := range n.sent {
+		total += n.sent[i].n.Load()
+	}
+	return total
+}
 
 // EnableLoadTracking switches on (or, called again, resets) the per-address
 // message counters — the per-node load measurement behind the hotspot

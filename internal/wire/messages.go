@@ -302,7 +302,7 @@ func (m *RouteStep) EncodeTo(e *Enc) {
 	e.U8(byte(m.Op))
 }
 func (m *RouteStep) DecodeFrom(d *Dec) {
-	m.Key = d.ID()
+	d.IDInto(&m.Key)
 	m.Level = d.Int()
 	m.Op = RouteOp(d.U8())
 }
@@ -323,7 +323,7 @@ func (m *MatchQueryReq) EncodeTo(e *Enc) {
 	e.U8(m.Digit)
 }
 func (m *MatchQueryReq) DecodeFrom(d *Dec) {
-	m.Origin = d.ID()
+	d.IDInto(&m.Origin)
 	m.Level = d.Int()
 	m.Digit = d.U8()
 }
@@ -412,8 +412,8 @@ func (m *LocateStep) EncodeTo(e *Enc) {
 	e.Int(m.Salt)
 }
 func (m *LocateStep) DecodeFrom(d *Dec) {
-	m.GUID = d.ID()
-	m.Key = d.ID()
+	d.IDInto(&m.GUID)
+	d.IDInto(&m.Key)
 	m.Level = d.Int()
 	m.Hops = d.Int()
 	m.Salt = d.Int()
@@ -428,7 +428,7 @@ type VerifyReq struct {
 func (*VerifyReq) WireType() Type    { return TVerifyReq }
 func (m *VerifyReq) EncodeTo(e *Enc) { e.ID(m.GUID) }
 func (m *VerifyReq) DecodeFrom(d *Dec) {
-	m.GUID = d.ID()
+	d.IDInto(&m.GUID)
 }
 
 // VerifyResp answers a VerifyReq.
@@ -460,10 +460,10 @@ func (m *DeleteBack) EncodeTo(e *Enc) {
 	e.ID(m.StopAt)
 }
 func (m *DeleteBack) DecodeFrom(d *Dec) {
-	m.GUID = d.ID()
-	m.Key = d.ID()
-	m.Server = d.ID()
-	m.StopAt = d.ID()
+	d.IDInto(&m.GUID)
+	d.IDInto(&m.Key)
+	d.IDInto(&m.Server)
+	d.IDInto(&m.StopAt)
 }
 
 // BackAdd registers the sender as a level-Level backpointer holder at the
@@ -496,7 +496,7 @@ func (m *BackRemove) EncodeTo(e *Enc) {
 }
 func (m *BackRemove) DecodeFrom(d *Dec) {
 	m.Level = d.Int()
-	m.ID = d.ID()
+	d.IDInto(&m.ID)
 }
 
 // McastStep delivers an acknowledged-multicast visit (Section 4.1): P is the
@@ -567,7 +567,7 @@ func (m *JoinSnapshotReq) EncodeTo(e *Enc) {
 	e.Int(m.PinLevel)
 }
 func (m *JoinSnapshotReq) DecodeFrom(d *Dec) {
-	m.NewID = d.ID()
+	d.IDInto(&m.NewID)
 	m.NewAddr = d.Addr()
 	m.PinLevel = d.Int()
 }
@@ -623,7 +623,7 @@ func (m *CaravanStep) EncodeTo(e *Enc) {
 	}
 }
 func (m *CaravanStep) DecodeFrom(d *Dec) {
-	m.Server = d.ID()
+	d.IDInto(&m.Server)
 	m.ServerAddr = d.Addr()
 	n := d.Uvarint()
 	if d.err == nil && n > uint64(d.Len()) {
@@ -650,7 +650,7 @@ func (m *LeaveNotify) EncodeTo(e *Enc) {
 	e.Entries(m.Replacements)
 }
 func (m *LeaveNotify) DecodeFrom(d *Dec) {
-	m.Leaver = d.ID()
+	d.IDInto(&m.Leaver)
 	m.Level = d.Int()
 	m.Replacements = d.Entries(m.Replacements)
 }
@@ -664,7 +664,7 @@ type NodeDeleted struct {
 func (*NodeDeleted) WireType() Type    { return TNodeDeleted }
 func (m *NodeDeleted) EncodeTo(e *Enc) { e.ID(m.ID) }
 func (m *NodeDeleted) DecodeFrom(d *Dec) {
-	m.ID = d.ID()
+	d.IDInto(&m.ID)
 }
 
 // DropLinks tells a forward neighbor to remove every link to ID (§5.1
@@ -676,7 +676,7 @@ type DropLinks struct {
 func (*DropLinks) WireType() Type    { return TDropLinks }
 func (m *DropLinks) EncodeTo(e *Enc) { e.ID(m.ID) }
 func (m *DropLinks) DecodeFrom(d *Dec) {
-	m.ID = d.ID()
+	d.IDInto(&m.ID)
 }
 
 // LocalStep is one hop of a §6.3 locality-constrained walk: route toward Key
@@ -694,7 +694,7 @@ func (m *LocalStep) EncodeTo(e *Enc) {
 	e.Int(m.Region)
 }
 func (m *LocalStep) DecodeFrom(d *Dec) {
-	m.Key = d.ID()
+	d.IDInto(&m.Key)
 	m.Level = d.Int()
 	m.Region = d.Int()
 }
@@ -723,12 +723,12 @@ func (m *PtrForward) EncodeTo(e *Enc) {
 	e.Addr(m.PrevAddr)
 }
 func (m *PtrForward) DecodeFrom(d *Dec) {
-	m.GUID = d.ID()
-	m.Key = d.ID()
-	m.Server = d.ID()
+	d.IDInto(&m.GUID)
+	d.IDInto(&m.Key)
+	d.IDInto(&m.Server)
 	m.ServerAddr = d.Addr()
 	m.Level = d.Int()
-	m.PrevID = d.ID()
+	d.IDInto(&m.PrevID)
 	m.PrevAddr = d.Addr()
 }
 
@@ -754,7 +754,7 @@ func (m *PublishReq) EncodeTo(e *Enc) {
 	}
 }
 func (m *PublishReq) DecodeFrom(d *Dec) {
-	m.GUID = d.ID()
+	d.IDInto(&m.GUID)
 	m.Adopt = d.Bool()
 	n := d.Uvarint()
 	if d.err == nil && n > uint64(d.Len()) {

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 
 	"tapestry/internal/ids"
 	"tapestry/internal/netsim"
@@ -36,8 +37,10 @@ import (
 type Type byte
 
 // Msg is one wire message. EncodeTo must write exactly what DecodeFrom reads;
-// DecodeFrom overwrites every field (reusing slice capacity where it can), so
-// a recycled struct never leaks state between messages.
+// DecodeFrom overwrites every field (reusing slice capacity where it can, and
+// keeping an identifier that already has the decoded digits), so a recycled
+// struct never leaks state between messages. Neither may retain its Enc or
+// Dec past return.
 type Msg interface {
 	WireType() Type
 	EncodeTo(*Enc)
@@ -263,11 +266,22 @@ func (d *Dec) digits() []ids.Digit {
 
 // ID reads an identifier.
 func (d *Dec) ID() ids.ID {
+	var id ids.ID
+	d.IDInto(&id)
+	return id
+}
+
+// IDInto reads an identifier into *dst. When *dst already holds exactly the
+// decoded digits it is left alone: a recycled struct that receives the same
+// GUID hop after hop then costs no string allocation per message.
+func (d *Dec) IDInto(dst *ids.ID) {
 	dg := d.digits()
-	if d.err != nil {
-		return ids.ID{}
+	switch {
+	case d.err != nil:
+		*dst = ids.ID{}
+	case !dst.EqualDigits(dg):
+		*dst = ids.FromDigits(dg)
 	}
-	return ids.FromDigits(dg)
 }
 
 // Prefix reads a prefix.
@@ -313,73 +327,104 @@ func (d *Dec) Entries(dst []route.Entry) []route.Entry {
 	return dst
 }
 
-// AppendFrame appends m to dst as one framed message.
-func AppendFrame(dst []byte, m Msg) []byte {
-	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0) // length backpatched below
-	dst = append(dst, byte(m.WireType()))
-	e := Enc{b: dst}
-	m.EncodeTo(&e)
-	dst = e.b
-	binary.LittleEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
-	return dst
+// Frame appends m to the encoder's buffer as one framed message.
+func (e *Enc) Frame(m Msg) {
+	start := len(e.b)
+	e.b = append(e.b, 0, 0, 0, 0, byte(m.WireType())) // length backpatched below
+	m.EncodeTo(e)
+	binary.LittleEndian.PutUint32(e.b[start:], uint32(len(e.b)-start-4))
 }
 
-// DecodeFrame parses one framed message from the front of b, allocating the
-// struct via New. It returns the message and the total bytes consumed.
-func DecodeFrame(b []byte) (Msg, int, error) {
+// frameBody validates the header of the framed message at the front of b and
+// returns its type and payload.
+func frameBody(b []byte) (Type, []byte, error) {
 	if len(b) < 5 {
-		return nil, 0, fmt.Errorf("wire: frame header truncated (%d bytes)", len(b))
+		return 0, nil, fmt.Errorf("wire: frame header truncated (%d bytes)", len(b))
 	}
 	n := binary.LittleEndian.Uint32(b)
 	if n < 1 || n > maxFrame {
-		return nil, 0, fmt.Errorf("wire: frame length %d out of range", n)
+		return 0, nil, fmt.Errorf("wire: frame length %d out of range", n)
 	}
 	if uint64(len(b)-4) < uint64(n) {
-		return nil, 0, fmt.Errorf("wire: frame truncated: want %d bytes, have %d", n, len(b)-4)
+		return 0, nil, fmt.Errorf("wire: frame truncated: want %d bytes, have %d", n, len(b)-4)
 	}
-	m := New(Type(b[4]))
-	if m == nil {
-		return nil, 0, fmt.Errorf("wire: unknown message type %d", b[4])
-	}
-	d := Dec{b: b[5 : 4+n]}
-	m.DecodeFrom(&d)
-	if d.err != nil {
-		return nil, 0, d.err
-	}
-	if d.Len() != 0 {
-		return nil, 0, fmt.Errorf("wire: %d trailing bytes after %T", d.Len(), m)
-	}
-	return m, 4 + int(n), nil
+	return Type(b[4]), b[5 : 4+n], nil
 }
 
-// DecodeFrameInto parses one framed message from the front of b into m,
-// failing if the frame's type differs from m's. It returns the bytes
-// consumed. This is the zero-allocation path transports use with recycled
-// message structs.
-func DecodeFrameInto(b []byte, m Msg) (int, error) {
-	if len(b) < 5 {
-		return 0, fmt.Errorf("wire: frame header truncated (%d bytes)", len(b))
+// Frame re-points the decoder at the framed message at the front of b and
+// decodes it into m, failing if the frame's type differs from m's or the
+// payload has bytes m does not consume. It returns the bytes consumed. With a
+// recycled m and a decoder the caller keeps, decoding a fixed-size message
+// allocates nothing.
+func (d *Dec) Frame(b []byte, m Msg) (int, error) {
+	t, body, err := frameBody(b)
+	if err != nil {
+		return 0, err
 	}
-	n := binary.LittleEndian.Uint32(b)
-	if n < 1 || n > maxFrame {
-		return 0, fmt.Errorf("wire: frame length %d out of range", n)
+	if t != m.WireType() {
+		return 0, fmt.Errorf("wire: frame type %d, want %d (%T)", t, m.WireType(), m)
 	}
-	if uint64(len(b)-4) < uint64(n) {
-		return 0, fmt.Errorf("wire: frame truncated: want %d bytes, have %d", n, len(b)-4)
-	}
-	if Type(b[4]) != m.WireType() {
-		return 0, fmt.Errorf("wire: frame type %d, want %d (%T)", b[4], m.WireType(), m)
-	}
-	d := Dec{b: b[5 : 4+n]}
-	m.DecodeFrom(&d)
+	d.Reset(body)
+	m.DecodeFrom(d)
 	if d.err != nil {
 		return 0, d.err
 	}
 	if d.Len() != 0 {
 		return 0, fmt.Errorf("wire: %d trailing bytes after %T", d.Len(), m)
 	}
-	return 4 + int(n), nil
+	return 5 + len(body), nil
+}
+
+// codec is one encoder/decoder pair. EncodeTo and DecodeFrom are interface
+// calls, so an Enc or Dec declared in the calling function escapes to the
+// heap — one object per message. The package-level entry points borrow a
+// pair from codecs instead; a transport that already owns per-connection or
+// per-operation scratch keeps an Enc and a Dec there and calls Frame directly.
+type codec struct {
+	e Enc
+	d Dec
+}
+
+var codecs = sync.Pool{New: func() any { return new(codec) }}
+
+// AppendFrame appends m to dst as one framed message.
+func AppendFrame(dst []byte, m Msg) []byte {
+	c := codecs.Get().(*codec)
+	c.e.b = dst
+	c.e.Frame(m)
+	dst, c.e.b = c.e.b, nil
+	codecs.Put(c)
+	return dst
+}
+
+// DecodeFrame parses one framed message from the front of b, allocating the
+// struct via New. It returns the message and the total bytes consumed.
+func DecodeFrame(b []byte) (Msg, int, error) {
+	t, _, err := frameBody(b)
+	if err != nil {
+		return nil, 0, err
+	}
+	m := New(t)
+	if m == nil {
+		return nil, 0, fmt.Errorf("wire: unknown message type %d", t)
+	}
+	n, err := DecodeFrameInto(b, m)
+	if err != nil {
+		return nil, 0, err
+	}
+	return m, n, nil
+}
+
+// DecodeFrameInto parses one framed message from the front of b into m,
+// failing if the frame's type differs from m's. It returns the bytes
+// consumed. With a recycled m this allocates nothing for a fixed-size
+// message.
+func DecodeFrameInto(b []byte, m Msg) (int, error) {
+	c := codecs.Get().(*codec)
+	n, err := c.d.Frame(b, m)
+	c.d.Reset(nil)
+	codecs.Put(c)
+	return n, err
 }
 
 // WriteMsg frames m onto w using buf as scratch, returning the (possibly

@@ -145,6 +145,35 @@ func TestDecodeFrameIntoTypeMismatch(t *testing.T) {
 	}
 }
 
+// TestRecycledRoundTripAllocatesNothing pins the codec's steady state: framing
+// a fixed-size message into a kept buffer and decoding it into a recycled
+// struct that already holds the same identifiers is free of heap traffic —
+// the Enc and Dec do not escape, and equal digits keep the ID they have. A
+// different identifier must still replace the kept one.
+func TestRecycledRoundTripAllocatesNothing(t *testing.T) {
+	msg := &LocateStep{GUID: id(8, 9, 1), Key: id(10, 11, 2), Level: 4, Hops: 12, Salt: 3}
+	var recycled LocateStep
+	var buf []byte
+	roundTrip := func() {
+		buf = AppendFrame(buf[:0], msg)
+		if _, err := DecodeFrameInto(buf, &recycled); err != nil {
+			t.Fatal(err)
+		}
+	}
+	roundTrip() // grows buf, fills recycled
+	if n := testing.AllocsPerRun(200, roundTrip); n != 0 {
+		t.Errorf("AppendFrame + DecodeFrameInto of a recycled LocateStep: %v allocs, want 0", n)
+	}
+	if recycled != *msg {
+		t.Errorf("recycled = %+v, want %+v", recycled, *msg)
+	}
+	msg.GUID, msg.Level = id(8, 9, 2), 5
+	roundTrip()
+	if recycled != *msg {
+		t.Errorf("after a new GUID: recycled = %+v, want %+v", recycled, *msg)
+	}
+}
+
 // TestDecodeRejectsMalformed pins the codec's defensive behavior on hostile
 // or truncated input.
 func TestDecodeRejectsMalformed(t *testing.T) {
