@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"tapestry/internal/ids"
@@ -201,20 +202,32 @@ func (m *Mesh) AuditUniqueRoots(keys []ids.ID) []string {
 	for _, key := range keys {
 		var rootID ids.ID
 		for _, n := range nodes {
-			res, err := n.routeToKey(key, nil, wire.RouteOpRoute, nil)
+			root, _, err := n.SurrogateFor(key, nil)
 			if err != nil {
 				violations = append(violations, fmt.Sprintf("key %v from %v: %v", key, n.id, err))
 				continue
 			}
 			if rootID.IsZero() {
-				rootID = res.node.id
-			} else if !rootID.Equal(res.node.id) {
+				rootID = root.id
+			} else if !rootID.Equal(root.id) {
 				violations = append(violations, fmt.Sprintf(
-					"key %v: roots %v and %v disagree", key, rootID, res.node.id))
+					"key %v: roots %v and %v disagree", key, rootID, root.id))
 			}
 		}
 	}
 	return violations
+}
+
+// routePath returns the nodes a plain route from n toward key's root visits,
+// endpoints included.
+func (n *Node) routePath(key ids.ID) ([]*Node, error) {
+	f := n.mesh.getFrames()
+	defer n.mesh.putFrames(f)
+	f.route.Key, f.route.Op = key, wire.RouteOpRoute
+	w := f.newWalk(stepNone, &f.route, key, nil)
+	w.keepPath = true
+	_, err := n.runWalk(f)
+	return slices.Clone(w.path), err
 }
 
 // AuditProperty4 checks that every node on each current publish path holds
@@ -226,12 +239,13 @@ func (m *Mesh) AuditProperty4() []string {
 		for _, guid := range server.PublishedObjects() {
 			for s := 0; s < m.cfg.RootSetSize; s++ {
 				key := m.cfg.Spec.Salt(guid, s)
-				_, err := server.routeToKey(key, nil, wire.RouteOpRoute, func(cur *Node, level int) bool {
+				path, err := server.routePath(key)
+				for _, cur := range path {
 					cur.mu.Lock()
 					ok := false
 					if st := cur.objects[guid]; st != nil {
 						for _, r := range st.recs {
-							if r.server.Equal(server.id) && r.key.Equal(key) {
+							if r.samePath(server.id, key) {
 								ok = true
 							}
 						}
@@ -242,8 +256,7 @@ func (m *Mesh) AuditProperty4() []string {
 							"object %v (server %v, salt %d): node %v on path lacks pointer",
 							guid, server.id, s, cur.id))
 					}
-					return false
-				})
+				}
 				if err != nil {
 					violations = append(violations, fmt.Sprintf(
 						"object %v (server %v, salt %d): path walk failed: %v", guid, server.id, s, err))

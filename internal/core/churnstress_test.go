@@ -9,7 +9,6 @@ import (
 	"tapestry/internal/ids"
 	"tapestry/internal/metric"
 	"tapestry/internal/netsim"
-	"tapestry/internal/wire"
 )
 
 // TestChurnStressAvailability runs many independent churn scenarios —
@@ -126,7 +125,8 @@ func dumpObject(m *Mesh, guid ids.ID, server, client *Node) string {
 	// Walk from client and from server, dumping rec presence.
 	for name, start := range map[string]*Node{"client": client, "server": server} {
 		out += name + " walk:\n"
-		res, err := start.routeToKey(key, nil, wire.RouteOpRoute, func(cur *Node, level int) bool {
+		path, err := start.routePath(key)
+		for _, cur := range path {
 			cur.mu.Lock()
 			recs := "none"
 			if st := cur.objects[guid]; st != nil {
@@ -137,10 +137,9 @@ func dumpObject(m *Mesh, guid ids.ID, server, client *Node) string {
 			}
 			state := cur.state.load()
 			cur.mu.Unlock()
-			out += fmt.Sprintf("  node %v state=%d level=%d recs=%s\n", cur.id, state, level, recs)
-			return false
-		})
-		out += fmt.Sprintf("  terminal: %v err=%v\n", res.node.id, err)
+			out += fmt.Sprintf("  node %v state=%d recs=%s\n", cur.id, state, recs)
+		}
+		out += fmt.Sprintf("  terminal: %v err=%v\n", path[len(path)-1].id, err)
 	}
 	// Server's view of whether it still publishes.
 	server.mu.Lock()

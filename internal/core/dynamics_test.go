@@ -553,7 +553,7 @@ func TestLocateBouncesToVisitedSurrogate(t *testing.T) {
 	}
 	client.mu.Lock()
 	added, _ := client.table.Add(alpha.Len(), route.Entry{ID: inserter.id, Addr: addr, Pinned: true})
-	dec := client.nextHop(g, 0, ids.ID{}, nil)
+	dec := client.nextHop(g, 0, nil)
 	client.mu.Unlock()
 	if !added || dec.terminal || !dec.next.ID.Equal(inserter.id) {
 		t.Fatalf("set-up: the client's next hop for the key is %v (terminal=%v), want the inserter", dec.next.ID, dec.terminal)

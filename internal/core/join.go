@@ -229,32 +229,17 @@ func (x *Node) linkAndXferRoot(n *Node, cost *netsim.Cost) {
 	// filling the (|α|, ·) hole at *upstream* nodes, a change X cannot see by
 	// re-examining its own table at the record's arrival level; a full
 	// re-route from X converges on the current unique root (Theorem 2) and
-	// deposits the pointer there. If the root did not move, the walk simply
-	// re-terminates at X and the records refresh in place.
-	x.mu.Lock()
-	type moved struct {
-		guid ids.ID
-		rec  pointerRec
-	}
-	var moves []moved
-	for _, g := range sortedGUIDs(x.objects) {
-		st := x.objects[g]
-		for i := range st.recs {
-			r := st.recs[i]
-			terminalHere := x.nextHop(r.key, r.level, ids.ID{}, nil).terminal
-			if r.root || terminalHere {
-				st.recs[i].root = false
-				rr := st.recs[i]
-				rr.level = 0
-				moves = append(moves, moved{r.guid, rr})
-			}
+	// deposits the pointer there — AT the new node if that is the root now,
+	// inserting or not, so the walk does not bounce. If the root did not
+	// move, the walk simply re-terminates at X and the records refresh in
+	// place.
+	x.reroutePointers(cost, ids.ID{}, true, false, func(r *pointerRec) bool {
+		if !r.root && !x.nextHop(r.key, r.level, nil).terminal {
+			return false
 		}
-	}
-	x.mu.Unlock()
-	now := x.mesh.net.Epoch()
-	for _, mv := range moves {
-		x.forwardPointerPath(mv.guid, mv.rec, now, cost, ids.ID{})
-	}
+		r.root = false
+		return true
+	})
 }
 
 // acquireNeighborTable is Figure 4's ACQUIRENEIGHBORTABLE on the nearest.go

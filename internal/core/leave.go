@@ -73,30 +73,9 @@ func (n *Node) Leave(cost *netsim.Cost) error {
 	// routing as if this node did not exist. Availability is guaranteed
 	// because the transfer completes (with acknowledgments — our synchronous
 	// calls) before the final delete notification goes out.
-	n.mu.Lock()
-	type moved struct {
-		guid ids.ID
-		rec  pointerRec
-	}
-	var moves []moved
-	for _, g := range sortedGUIDs(n.objects) {
-		st := n.objects[g]
-		for _, r := range st.recs {
-			if r.root && !r.server.Equal(n.id) {
-				// Re-route from level 0: the post-departure root may diverge
-				// from this node's path at any level, not just the record's
-				// arrival level.
-				rr := r
-				rr.level = 0
-				moves = append(moves, moved{r.guid, rr})
-			}
-		}
-	}
-	n.mu.Unlock()
-	now := n.mesh.net.Epoch()
-	for _, mv := range moves {
-		n.forwardPointerPath(mv.guid, mv.rec, now, cost, n.id)
-	}
+	n.reroutePointers(cost, n.id, true, true, func(r *pointerRec) bool {
+		return r.root && !r.server.Equal(n.id)
+	})
 
 	// Phase 3: final delete — everyone who links to or from n forgets it.
 	n.mu.Lock()
@@ -185,29 +164,13 @@ func (h *Node) onPeerLeaving(leaver ids.ID, level int, replacements []route.Entr
 	// the link is marked leaving: until the bypass path carries pointers,
 	// concurrent queries must keep routing through the (still live) leaver,
 	// or they could reach a pointer-less surrogate and fail.
-	h.mu.Lock()
-	type work struct {
-		guid ids.ID
-		rec  pointerRec
-	}
-	var rerouted []work
-	for _, g := range sortedGUIDs(h.objects) {
-		st := h.objects[g]
-		for _, r := range st.recs {
-			if r.root {
-				continue
-			}
-			dec := h.nextHop(r.key, r.level, ids.ID{}, nil)
-			if !dec.terminal && dec.next.ID.Equal(leaver) {
-				rerouted = append(rerouted, work{r.guid, r})
-			}
+	h.reroutePointers(cost, leaver, false, true, func(r *pointerRec) bool {
+		if r.root {
+			return false
 		}
-	}
-	h.mu.Unlock()
-	now := h.mesh.net.Epoch()
-	for _, w := range rerouted {
-		h.forwardPointerPath(w.guid, w.rec, now, cost, leaver)
-	}
+		dec := h.nextHop(r.key, r.level, nil)
+		return !dec.terminal && dec.next.ID.Equal(leaver)
+	})
 	h.mu.Lock()
 	h.table.MarkLeaving(leaver)
 	h.mu.Unlock()

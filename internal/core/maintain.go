@@ -79,6 +79,7 @@ type caravanScratch struct {
 	nextLevel []int // per record: digits-resolved counter after the decided hop
 	terminals []int
 	stale     []staleTrail
+	dead      []ids.ID // hops that failed from the node being decided
 }
 
 // caravanBatch is the window recs[lo:hi] waiting to be visited at node.
@@ -95,11 +96,10 @@ type caravanGroup struct {
 }
 
 // staleTrail is a convergence found while depositing: record rec met an older
-// trail arriving from (hop, addr), to be torn down backwards.
+// trail arriving from `from`, to be torn down backwards.
 type staleTrail struct {
 	rec  int
-	hop  ids.ID
-	addr netsim.Addr
+	from route.Entry
 }
 
 // decide makes the routing decision for the records of batch b chained from
@@ -108,20 +108,21 @@ type staleTrail struct {
 // order into NEW groups appended to sc.groups — a re-decide after a dead hop
 // never merges into a group formed by an earlier decision, which may already
 // have been sent.
-func (sc *caravanScratch) decide(cur *Node, b caravanBatch, head int, deadSet map[ids.ID]struct{}) {
+func (sc *caravanScratch) decide(cur *Node, b caravanBatch, head int) {
 	from := len(sc.groups)
+	filter := hopFilter{dead: sc.dead}
 	cur.mu.Lock()
 	for i := head; i >= 0; {
 		following := sc.link[i]
 		sc.link[i] = -1
 		r := &sc.recs[b.lo+i]
-		dec := cur.nextHop(r.Key, r.Level, ids.ID{}, deadSet)
+		dec := cur.nextHop(r.Key, r.Level, &filter)
 		if dec.terminal {
 			sc.terminals = append(sc.terminals, i)
 		} else {
 			// nextLevel is the counter after the decided hop; the record's own
 			// Level stays the arrival level so a failed hop re-decides from
-			// the same state routeToKey would.
+			// the same state a single-record walk would.
 			sc.nextLevel[i] = dec.nextLevel
 			gi := from
 			for gi < len(sc.groups) && !sc.groups[gi].next.ID.Equal(dec.next.ID) {
@@ -144,11 +145,11 @@ func (sc *caravanScratch) decide(cur *Node, b caravanBatch, head int, deadSet ma
 // convergence teardown, root flag at the terminal) but carrying all records
 // together and spending ONE message per distinct next hop per node instead
 // of one per record. Records that terminate on a mid-insertion node fall
-// back to the single-path walk, which implements the Figure 10 bounce.
+// back to the single-path walk, whose driver implements the Figure 10 bounce.
 func (n *Node) republishBatched(guids []ids.ID, cost *netsim.Cost) {
 	spec := n.mesh.cfg.Spec
 	now := n.mesh.net.Epoch()
-	maxHops := n.table.Levels()*n.table.Base() + 8 // same loop guard as routeToKey
+	maxHops := n.table.Levels()*n.table.Base() + 8 // same loop guard as runWalk
 	cf := n.mesh.getFrames()
 	cf.caravan.Server, cf.caravan.ServerAddr = n.id, n.addr
 	sc := &cf.batch
@@ -163,9 +164,10 @@ func (n *Node) republishBatched(guids []ids.ID, cost *netsim.Cost) {
 	for qi := 0; qi < len(sc.queue); qi++ {
 		b := sc.queue[qi]
 		cur := b.node
-		// Hops that failed from THIS node; a verdict is not carried to the
-		// next node's decisions (a partition cuts links, not hosts).
-		var deadSet map[ids.ID]struct{}
+		// sc.dead holds hops that failed from THIS node; a verdict is not
+		// carried to the next node's decisions (a partition cuts links, not
+		// hosts).
+		sc.dead = sc.dead[:0]
 
 		// Visit: deposit every record at this node under one hold of its
 		// lock; a changed lastHop on an existing record means this path
@@ -175,7 +177,7 @@ func (n *Node) republishBatched(guids []ids.ID, cost *netsim.Cost) {
 		cur.mu.Lock()
 		for i := b.lo; i < b.hi; i++ {
 			r := &sc.recs[i]
-			old, existed := cur.depositLocked(pointerRec{
+			if from, converged := cur.depositOnPath(pointerRec{
 				guid:       r.GUID,
 				server:     n.id,
 				serverAddr: n.addr,
@@ -184,21 +186,20 @@ func (n *Node) republishBatched(guids []ids.ID, cost *netsim.Cost) {
 				lastAddr:   r.PrevAddr,
 				level:      r.Level,
 				epoch:      now,
-			})
-			if existed && !old.lastHop.IsZero() && !old.lastHop.Equal(r.PrevID) {
-				sc.stale = append(sc.stale, staleTrail{i, old.lastHop, old.lastAddr})
+			}, n.id); converged {
+				sc.stale = append(sc.stale, staleTrail{i, from})
 			}
 		}
 		cur.mu.Unlock()
 		for _, st := range sc.stale {
 			r := &sc.recs[st.rec]
-			cur.deleteBackward(r.GUID, r.Key, n.id, st.hop, st.addr, n.id, cost)
+			cur.deleteBackward(r.GUID, r.Key, n.id, st.from, n.id, cost)
 		}
 
 		// Decide next hops for the whole batch, group records by next node in
 		// first-seen order, and forward each group with a single message. A
 		// dead next hop is noted once and its group's records re-decided with
-		// the corpse excluded, like routeToKey's retry-through-secondaries;
+		// the corpse excluded, like runWalk's retry-through-secondaries;
 		// the new groups append to the worklist and new terminals join the
 		// batch's terminal set.
 		count := b.hi - b.lo
@@ -212,7 +213,7 @@ func (n *Node) republishBatched(guids []ids.ID, cost *netsim.Cost) {
 		}
 		sc.nextLevel = sc.nextLevel[:count]
 		sc.groups, sc.terminals = sc.groups[:0], sc.terminals[:0]
-		sc.decide(cur, b, 0, deadSet)
+		sc.decide(cur, b, 0)
 
 		for gi := 0; gi < len(sc.groups); gi++ {
 			g := sc.groups[gi]
@@ -234,12 +235,9 @@ func (n *Node) republishBatched(guids []ids.ID, cost *netsim.Cost) {
 			next, err := n.mesh.invoke(cur.addr, g.next, &cf.caravan, msgAck, cost, true)
 			if err != nil {
 				sc.recs = sc.recs[:lo]
-				if deadSet == nil {
-					deadSet = make(map[ids.ID]struct{}, 2)
-				}
-				deadSet[g.next.ID] = struct{}{}
+				sc.dead = append(sc.dead, g.next.ID)
 				cur.noteDead(g.next, cost)
-				sc.decide(cur, b, g.head, deadSet)
+				sc.decide(cur, b, g.head)
 				continue
 			}
 			if len(sc.recs) > lo {
@@ -266,19 +264,13 @@ func handleTerminalRecords(server, cur *Node, recs []wire.PubRec, idxs []int, co
 	bounce := inserting && !cur.psurrogate.ID.IsZero()
 	if !bounce {
 		for _, i := range idxs {
-			if st := cur.objects[recs[i].GUID]; st != nil {
-				for j := range st.recs {
-					if st.recs[j].samePath(server.id, recs[i].Key) {
-						st.recs[j].root = true
-					}
-				}
-			}
+			cur.flagRoot(recs[i].GUID, server.id, recs[i].Key)
 		}
 	}
 	cur.mu.Unlock()
 	if bounce {
 		for _, i := range idxs {
-			_ = server.publishPath(recs[i].GUID, recs[i].Key, cost)
+			_ = server.publishPath(recs[i].GUID, recs[i].Key, wideArea, cost)
 		}
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"tapestry/internal/metric"
 	"tapestry/internal/netsim"
 	"tapestry/internal/route"
-	"tapestry/internal/wire"
 )
 
 // oracleClosest scans every live node and returns the nodes qualifying for
@@ -427,14 +426,14 @@ func TestNearestRepairConcurrentChurn(t *testing.T) {
 	key := testSpec.Hash("post-churn-key")
 	var rootID ids.ID
 	for _, n := range m.Nodes() {
-		res, err := n.routeToKey(key, nil, wire.RouteOpRoute, nil)
+		root, _, err := n.SurrogateFor(key, nil)
 		if err != nil {
 			t.Fatalf("routing from %v failed post-churn: %v", n.id, err)
 		}
 		if rootID.IsZero() {
-			rootID = res.node.id
-		} else if !rootID.Equal(res.node.id) {
-			t.Fatalf("post-churn root disagreement: %v vs %v", rootID, res.node.id)
+			rootID = root.id
+		} else if !rootID.Equal(root.id) {
+			t.Fatalf("post-churn root disagreement: %v vs %v", rootID, root.id)
 		}
 	}
 }

@@ -59,18 +59,13 @@ func (o *objState) remove(server, key ids.ID) bool {
 	return false
 }
 
-// depositPointer stores/refreshes a pointer at n and reports the previous
-// record on this (server, key) path, for convergence detection during
-// pointer redistribution (Section 4.2).
-func (n *Node) depositPointer(r pointerRec) (prev pointerRec, existed bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.depositLocked(r)
-}
-
-// depositLocked is depositPointer for a caller that already holds n.mu (the
-// republish caravan deposits a whole batch under one hold).
-func (n *Node) depositLocked(r pointerRec) (prev pointerRec, existed bool) {
+// depositOnPath stores/refreshes a pointer at n, one node of a path being
+// laid from origin, and detects convergence (Section 4.2, Figure 9): the node
+// already held a record on this (server, key) path that arrived from
+// elsewhere, so everything from there back is a stale trail — which it
+// returns — to be deleted backwards as far as origin, whose own record (and
+// everything upstream of it) is still valid. The caller holds n.mu.
+func (n *Node) depositOnPath(r pointerRec, origin ids.ID) (stale route.Entry, converged bool) {
 	// The store is keyed by the *unsalted* GUID so queries (which know only
 	// the GUID) find pointers deposited along any salted path.
 	st := n.objects[r.guid]
@@ -78,7 +73,37 @@ func (n *Node) depositLocked(r pointerRec) (prev pointerRec, existed bool) {
 		st = &objState{}
 		n.objects[r.guid] = st
 	}
-	return st.upsert(r)
+	old, existed := st.upsert(r)
+	if existed && !old.lastHop.IsZero() && !old.lastHop.Equal(r.lastHop) && !old.lastHop.Equal(origin) {
+		return entryAt(old.lastHop, old.lastAddr), true
+	}
+	return route.Entry{}, false
+}
+
+// flagRoot marks n's record on the (server, key) path as the path's terminal.
+// The caller holds n.mu.
+func (n *Node) flagRoot(guid, server, key ids.ID) {
+	if st := n.objects[guid]; st != nil {
+		for i := range st.recs {
+			if st.recs[i].samePath(server, key) {
+				st.recs[i].root = true
+			}
+		}
+	}
+}
+
+// dropLocked removes n's record on the (server, key) path, if any, and the
+// cached hint naming the same server: a hint must not outlive the pointer
+// whose replica withdrew or failed. The caller holds n.mu.
+func (n *Node) dropLocked(guid, server, key ids.ID) {
+	if st := n.objects[guid]; st != nil {
+		if st.remove(server, key) && len(st.recs) == 0 {
+			delete(n.objects, guid)
+		}
+	}
+	if n.cache != nil {
+		n.cache.invalidate(guid, server)
+	}
 }
 
 // purgePointer removes a stale (server, key) record observed dead or
@@ -86,16 +111,7 @@ func (n *Node) depositLocked(r pointerRec) (prev pointerRec, existed bool) {
 // until the soft-state refresh re-deposits a live one.
 func (n *Node) purgePointer(guid, server, key ids.ID) {
 	n.mu.Lock()
-	if st := n.objects[guid]; st != nil {
-		if st.remove(server, key) && len(st.recs) == 0 {
-			delete(n.objects, guid)
-		}
-	}
-	if n.cache != nil {
-		// A cache hint naming the same failed server is equally stale; drop
-		// it now rather than burning a second probe on it next query.
-		n.cache.invalidate(guid, server)
-	}
+	n.dropLocked(guid, server, key)
 	n.mu.Unlock()
 }
 
@@ -117,82 +133,54 @@ func (n *Node) republishObject(guid ids.ID, cost *netsim.Cost) error {
 	var firstErr error
 	for i := 0; i < n.mesh.cfg.RootSetSize; i++ {
 		key := spec.Salt(guid, i)
-		if err := n.publishPath(guid, key, cost); err != nil && firstErr == nil {
+		if err := n.publishPath(guid, key, wideArea, cost); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	return firstErr
 }
 
-// publishPath walks one salted path from n to the key's root, depositing
-// pointers. Convergence with a stale path triggers backward deletion of the
-// outdated trail (Figure 9's DeletePointersBackward), keyed off a changed
-// lastHop at an already-present record.
-func (n *Node) publishPath(guid, key ids.ID, cost *netsim.Cost) error {
-	now := n.mesh.net.Epoch()
-	prevID, prevAddr := ids.ID{}, n.addr
-	res, err := n.routeToKey(key, cost, wire.RouteOpPublish, func(cur *Node, level int) bool {
-		rec := pointerRec{
-			guid:       guid,
-			server:     n.id,
-			serverAddr: n.addr,
-			key:        key,
-			lastHop:    prevID,
-			lastAddr:   prevAddr,
-			level:      level,
-			epoch:      now,
-		}
-		old, existed := cur.depositPointer(rec)
-		if existed && !old.lastHop.IsZero() && !old.lastHop.Equal(prevID) {
-			// The new path converged onto a node that remembers an older
-			// path arriving from elsewhere: tear the stale trail down, all
-			// the way back to the server (a full republish re-lays the
-			// entire path, so everything off it is stale).
-			cur.deleteBackward(guid, key, n.id, old.lastHop, old.lastAddr, n.id, cost)
-		}
-		prevID, prevAddr = cur.id, cur.addr
-		return false
-	})
-	if err != nil {
-		return err
-	}
-	res.node.mu.Lock()
-	if st := res.node.objects[guid]; st != nil {
-		for i := range st.recs {
-			if st.recs[i].samePath(n.id, key) {
-				st.recs[i].root = true
-			}
-		}
-	}
-	res.node.mu.Unlock()
-	return nil
+// publishPath walks one salted path from n to the key's root, depositing a
+// pointer at every node on it and flagging the last as the path's root.
+// Convergence with a stale path triggers backward deletion of the outdated
+// trail (Figure 9's DeletePointersBackward), keyed off a changed lastHop at
+// an already-present record. A region >= 0 lays the Section 6.3 local branch
+// instead: the same walk confined to the server's stub.
+func (n *Node) publishPath(guid, key ids.ID, region int, cost *netsim.Cost) error {
+	f := n.mesh.getFrames()
+	defer n.mesh.putFrames(f)
+	f.route.Key, f.route.Op = key, wire.RouteOpPublish
+	w := f.newWalk(stepDeposit, &f.route, key, cost)
+	f.confine(n.mesh, region)
+	w.guid, w.server, w.serverAddr = guid, n.id, n.addr
+	w.prevAddr = n.addr
+	w.epoch = n.mesh.net.Epoch()
+	_, err := n.runWalk(f)
+	return err
 }
 
 // deleteBackward removes the (guid, key, server)-pointer from the stale
-// trail starting at (hopID, hopAddr) and walking lastHop links backwards,
-// stopping when the trail runs out or reaches stopAt — the node at which the
-// path diverged, whose own record (and everything upstream of it) is still
-// valid (Figure 9's DeletePointersBackward with its changedNode argument).
-func (n *Node) deleteBackward(guid, key, server ids.ID, hopID ids.ID, hopAddr netsim.Addr, stopAt ids.ID, cost *netsim.Cost) {
+// trail starting at hop and walking lastHop links backwards, stopping when
+// the trail runs out or reaches stopAt — the node at which the path diverged,
+// whose own record (and everything upstream of it) is still valid (Figure 9's
+// DeletePointersBackward with its changedNode argument).
+func (n *Node) deleteBackward(guid, key, server ids.ID, hop route.Entry, stopAt ids.ID, cost *netsim.Cost) {
 	f := n.mesh.getFrames()
 	defer n.mesh.putFrames(f)
 	f.del.GUID, f.del.Key, f.del.Server, f.del.StopAt = guid, key, server, stopAt
 	from := n.addr
-	for !hopID.IsZero() && !hopID.Equal(stopAt) && !hopID.Equal(server) {
-		target, err := n.mesh.oneWayMsg(from, entryAt(hopID, hopAddr), &f.del, cost)
+	for !hop.ID.IsZero() && !hop.ID.Equal(stopAt) && !hop.ID.Equal(server) {
+		target, err := n.mesh.oneWayMsg(from, hop, &f.del, cost)
 		if err != nil {
 			return
 		}
+		found, protected := false, false
 		target.mu.Lock()
-		var next ids.ID
-		var nextAddr netsim.Addr
-		found := false
-		protected := false
 		if st := target.objects[guid]; st != nil {
 			for _, r := range st.recs {
 				if r.samePath(server, key) {
 					found = true
-					next, nextAddr = r.lastHop, r.lastAddr
+					hop = entryAt(r.lastHop, r.lastAddr)
 					// A node that is currently the terminal for this key —
 					// or whose record is root-flagged — must never lose the
 					// record to a backward sweep: under concurrent
@@ -202,29 +190,18 @@ func (n *Node) deleteBackward(guid, key, server ids.ID, hopID ids.ID, hopAddr ne
 					// pointers until the new root has acknowledged" is this
 					// guard in soft-state form). Stale residue that survives
 					// here is cleaned up by TTL expiry.
-					if r.root || target.nextHop(key, r.level, ids.ID{}, nil).terminal {
-						protected = true
-					}
-				}
-			}
-			if found && !protected {
-				st.remove(server, key)
-				if len(st.recs) == 0 {
-					delete(target.objects, guid)
+					protected = r.root || target.nextHop(key, r.level, nil).terminal
 				}
 			}
 		}
-		if target.cache != nil && found && !protected {
-			// The pointer trail is being torn down; a cached hint naming the
-			// same withdrawing server must not outlive it.
-			target.cache.invalidate(guid, server)
+		if found && !protected {
+			target.dropLocked(guid, server, key)
 		}
 		target.mu.Unlock()
 		if !found || protected {
 			return
 		}
 		from = target.addr
-		hopID, hopAddr = next, nextAddr
 	}
 }
 
@@ -242,24 +219,16 @@ func (n *Node) Unpublish(guid ids.ID, cost *netsim.Cost) {
 	delete(n.published, guid)
 	n.mu.Unlock()
 	spec := n.mesh.cfg.Spec
+	f := n.mesh.getFrames()
 	for i := 0; i < n.mesh.cfg.RootSetSize; i++ {
 		key := spec.Salt(guid, i)
-		_, _ = n.routeToKey(key, nil, wire.RouteOpUnpublish, func(cur *Node, level int) bool {
-			cur.mu.Lock()
-			if st := cur.objects[guid]; st != nil {
-				st.remove(n.id, key)
-				if len(st.recs) == 0 {
-					delete(cur.objects, guid)
-				}
-			}
-			if cur.cache != nil {
-				cur.cache.invalidate(guid, n.id)
-			}
-			cur.mu.Unlock()
-			return false
-		})
+		f.route.Key, f.route.Op = key, wire.RouteOpUnpublish
+		w := f.newWalk(stepRemove, &f.route, key, nil)
+		w.guid, w.server = guid, n.id
+		_, _ = n.runWalk(f)
 		_ = cost
 	}
+	n.mesh.putFrames(f)
 }
 
 // LocateResult reports a successful (or failed) object location.
@@ -301,7 +270,7 @@ func (n *Node) Locate(guid ids.ID, cost *netsim.Cost) LocateResult {
 	missed := missedBuf[:0]
 	for t := 0; t < n.mesh.cfg.LocateProbes; t++ {
 		salt := (start + t) % k
-		res := n.locateVia(guid, salt, cost)
+		res := n.LocateVia(guid, salt, cost)
 		if res.Found {
 			out = res
 			break
@@ -327,14 +296,44 @@ func (n *Node) Locate(guid ids.ID, cost *netsim.Cost) LocateResult {
 // LocateVia runs a single-root query with an explicit salt; exposed for
 // experiments that need deterministic root choice.
 func (n *Node) LocateVia(guid ids.ID, salt int, cost *netsim.Cost) LocateResult {
-	return n.locateVia(guid, salt, cost)
+	return n.locatePath(guid, salt, wideArea, cost)
 }
 
-// idIn reports whether id occurs in list. The per-query loop-detection
-// memory is a small slice with linear scans: locate paths are a few hops
-// (Theorem 2: <= Levels plus small surrogate overhead), so this beats a map
-// — and the backing array can live on the caller's stack, keeping the hot
-// path allocation-free.
+// locatePath runs one query: a peek walk toward the salted key that stops at
+// the first node holding a pointer (or, with the serving layer on, a cached
+// hint) the replica itself vouches for. It reports the replica reached, a
+// clean miss at the root, or Exhausted when the walk did not end (the mesh is
+// inconsistent). A region >= 0 runs the Section 6.3 local phase instead: the
+// same walk confined to the client's stub.
+//
+// With the serving layer on, a successful answer is recorded at every
+// upstream hop of the query path — piggybacked on the response, charging no
+// messages. The last path element (the node that answered) is skipped: its
+// own pointer store or cache already answers.
+func (n *Node) locatePath(guid ids.ID, salt, region int, cost *netsim.Cost) LocateResult {
+	f := n.mesh.getFrames()
+	defer n.mesh.putFrames(f)
+	key := n.mesh.cfg.Spec.Salt(guid, salt)
+	f.locate.GUID, f.locate.Key, f.locate.Salt = guid, key, salt
+	w := f.newWalk(stepPeek, &f.locate, key, cost)
+	f.confine(n.mesh, region)
+	w.guid = guid
+	if _, err := n.runWalk(f); err != nil {
+		return LocateResult{Exhausted: true}
+	}
+	if w.res.Found && len(w.path) > 1 {
+		now := n.mesh.net.Epoch()
+		for _, p := range w.path[:len(w.path)-1] {
+			p.cacheDeposit(guid, w.res.Server, w.res.ServerAddr, now)
+		}
+	}
+	return w.res
+}
+
+// idIn reports whether id occurs in list. The per-walk memories (loop
+// detection, observed corpses) are small slices with linear scans: paths are
+// a few hops (Theorem 2: <= Levels plus small surrogate overhead), so this
+// beats a map, and the backing arrays are recycled with the walk.
 func idIn(list []ids.ID, id ids.ID) bool {
 	for i := range list {
 		if list[i].Equal(id) {
@@ -342,159 +341,6 @@ func idIn(list []ids.ID, id ids.ID) bool {
 		}
 	}
 	return false
-}
-
-func (n *Node) locateVia(guid ids.ID, salt int, cost *netsim.Cost) LocateResult {
-	key := n.mesh.cfg.Spec.Salt(guid, salt)
-	f := n.mesh.getFrames()
-	defer n.mesh.putFrames(f)
-	f.locate.GUID, f.locate.Key, f.locate.Salt = guid, key, salt
-	cur := n
-	level := 0
-	hops := 0
-	var visitedBuf [12]ids.ID
-	visited := visitedBuf[:0]
-	// deadSet is the per-query memory of nodes to route around: neighbors
-	// whose probe failed and inserting nodes the query bounced off. Lazily
-	// allocated, so a healthy walk never touches it.
-	var deadSet map[ids.ID]struct{}
-	cacheOn := n.mesh.cfg.LocateCacheCap > 0
-	// path collects the traversed nodes so a successful answer can be cached
-	// at every hop on the (piggybacked) return path; nil when the cache is
-	// off, so the default configuration allocates nothing here.
-	var path []*Node
-	maxHops := n.table.Levels()*n.table.Base() + 8
-	for hops <= maxHops {
-		if cacheOn {
-			path = append(path, cur)
-		}
-		st, pointers := cur.locateStep(guid, key, level, deadSet, true)
-		if pointers {
-			if res, ok := cur.serveQuery(f, guid, cost, &hops); ok {
-				cachePathDeposit(path, guid, res)
-				return res
-			}
-			// Every record here was stale and is purged now: route onward.
-			st, _ = cur.locateStep(guid, key, level, deadSet, false)
-		}
-		if cacheOn {
-			if res, ok := cur.serveFromCache(f, guid, cost, &hops); ok {
-				cachePathDeposit(path, guid, res)
-				return res
-			}
-		}
-		// Loop detection (Section 4.3: "including information in the message
-		// header about where the request has been"). Reached only when the
-		// walk re-ENTERS a node over the network; re-deciding at the same
-		// node after a failed probe (below) is not a loop.
-		if idIn(visited, cur.id) {
-			return LocateResult{Exhausted: true}
-		}
-		visited = append(visited, cur.id)
-
-		// Take the next hop, retrying through surviving entries when the
-		// chosen neighbor's host turns out dead (Observation 1 fault
-		// tolerance): the corpse goes into deadSet and the decision is
-		// re-made at the same node instead of aborting the query. Each retry
-		// removes a table entry (noteDead) or excludes one, so the inner
-		// loop terminates.
-		for {
-			dec := st.dec
-			if dec.terminal {
-				if _, bounced := deadSet[cur.id]; !st.psur.ID.IsZero() && !bounced {
-					// Figure 10: an inserting node that cannot satisfy the
-					// query bounces it to its pre-insertion surrogate, which
-					// routes as if the new node did not exist. The inserter
-					// joins deadSet (as in routeToKey: a walk bouncing off a
-					// second inserter must not re-enter the first), and the
-					// loop memory restarts — the surrogate may be a node the
-					// query already passed, even the client itself, and
-					// re-deciding there without the inserter is not a loop.
-					if deadSet == nil {
-						deadSet = make(map[ids.ID]struct{}, 2)
-					}
-					deadSet[cur.id] = struct{}{}
-					visited = visited[:0]
-					f.locate.Level, f.locate.Hops = level, hops
-					next, err := n.mesh.invoke(cur.addr, st.psur, &f.locate, msgAck, cost, true)
-					if err != nil {
-						return LocateResult{}
-					}
-					cur = next
-					// Resume from the arrival level if below |α| (the key
-					// only provably shares min(arrival, |α|) digits with
-					// psur).
-					if st.alpha.Len() < level {
-						level = st.alpha.Len()
-					}
-					hops++
-					break
-				}
-				return LocateResult{} // true root reached without a pointer
-			}
-			f.locate.Level, f.locate.Hops = dec.nextLevel, hops
-			next, err := n.mesh.invoke(cur.addr, dec.next, &f.locate, msgAck, cost, true)
-			if err != nil {
-				if deadSet == nil {
-					deadSet = make(map[ids.ID]struct{}, 2)
-				}
-				deadSet[dec.next.ID] = struct{}{}
-				cur.noteDead(dec.next, cost)
-				st, _ = cur.locateStep(guid, key, level, deadSet, false)
-				continue
-			}
-			cur = next
-			level = dec.nextLevel
-			hops++
-			break
-		}
-	}
-	return LocateResult{Exhausted: true}
-}
-
-// hopStep is what a walk needs from the node it stands on to move: the
-// routing decision and — only where Figure 10's bounce can apply, at a
-// terminal that is still inserting — the insertion-window state (psur stays
-// zero everywhere else).
-type hopStep struct {
-	dec   hopDecision
-	psur  route.Entry
-	alpha ids.Prefix
-}
-
-// locateStep is a locate walk's one acquisition of cur's lock per hop. With
-// checkStore it first looks for pointer records for guid and, finding any,
-// reports pointers and decides nothing (serveQuery takes over — that is the
-// walk's last hop, unless every record proves stale); otherwise it makes the
-// routing decision for key. The store is consulted once per arrival: a
-// re-decision after a failed probe or a purge passes checkStore false.
-func (cur *Node) locateStep(guid, key ids.ID, level int, deadSet map[ids.ID]struct{}, checkStore bool) (st hopStep, pointers bool) {
-	cur.mu.Lock()
-	defer cur.mu.Unlock()
-	if checkStore {
-		if o := cur.objects[guid]; o != nil && len(o.recs) > 0 {
-			return st, true
-		}
-	}
-	st.dec = cur.nextHop(key, level, ids.ID{}, deadSet)
-	if st.dec.terminal && cur.state.load() == stateInserting {
-		st.psur, st.alpha = cur.psurrogate, cur.alpha
-	}
-	return st, false
-}
-
-// cachePathDeposit records a successful answer at every upstream hop of the
-// query path — piggybacked on the response, charging no messages. The last
-// path element (the node that answered) is skipped: its own pointer store or
-// cache already answers. A nil path (cache off) is a no-op.
-func cachePathDeposit(path []*Node, guid ids.ID, res LocateResult) {
-	if len(path) < 2 {
-		return
-	}
-	now := path[0].mesh.net.Epoch()
-	for _, p := range path[:len(path)-1] {
-		p.cacheDeposit(guid, res.Server, res.ServerAddr, now)
-	}
 }
 
 // verifyReplica pays the final hop to a claimed replica and checks, under
@@ -510,30 +356,34 @@ func (cur *Node) verifyReplica(f *msgFrames, guid, server ids.ID, addr netsim.Ad
 	return f.verifyResp.Serves
 }
 
-// serveQuery checks cur's pointer store for the object; on a hit the query
-// proceeds to the closest live replica known here. The lock is held only for
-// a snapshot of the records (into a stack buffer — no heap traffic at
-// realistic replica counts); distance evaluation runs outside it, since on
-// lazy graph metrics a cold Distance is a Dijkstra and must not stall every
-// operation contending for this node. Selection is a single pass (the old
-// implementation re-scanned and spliced a candidate copy per probe, O(k²)
-// per pointer hit), and a replica that turns out dead — or live but no
-// longer publishing — is purged from the store on the spot, so subsequent
-// queries stop burning a probe on it until the soft-state refresh
-// re-deposits a live pointer. locateVia calls it only at a node where
-// locateStep saw records — the walk's last hop — so the hops before it do not
-// pay for zeroing the 1.6 KB buffer.
-func (cur *Node) serveQuery(f *msgFrames, guid ids.ID, cost *netsim.Cost, hops *int) (LocateResult, bool) {
+// serveQuery is a peek walk's continuation at a node holding pointer records
+// for the object: the query proceeds to the closest live replica known here.
+// The lock is held only for a snapshot of the records (into a stack buffer —
+// no heap traffic at realistic replica counts; a stub-confined walk snapshots
+// only replicas inside its stub, so the local phase never leaves it);
+// distance evaluation runs outside it, since on lazy graph metrics a cold
+// Distance is a Dijkstra and must not stall every operation contending for
+// this node. Selection is a single pass, and a replica that turns out dead —
+// or live but no longer publishing — is purged from the store on the spot, so
+// subsequent queries stop burning a probe on it until the soft-state refresh
+// re-deposits a live pointer. It runs only where the step saw records — the
+// walk's last hop — so the hops before it do not pay for zeroing the 1.6 KB
+// buffer. It reports whether the walk is answered (in w.res).
+func (w *walk) serveQuery(cur *Node, f *msgFrames) bool {
 	var buf [16]pointerRec
 	for {
 		recs := buf[:0]
 		cur.mu.Lock()
-		if st := cur.objects[guid]; st != nil {
-			recs = append(recs, st.recs...)
+		if st := cur.objects[w.guid]; st != nil {
+			for i := range st.recs {
+				if w.regions == nil || w.regions[st.recs[i].serverAddr] == w.region {
+					recs = append(recs, st.recs[i])
+				}
+			}
 		}
 		cur.mu.Unlock()
 		if len(recs) == 0 {
-			return LocateResult{}, false
+			return false
 		}
 		// "If multiple pointers are encountered, the query proceeds to the
 		// closest replica to the current node."
@@ -545,56 +395,43 @@ func (cur *Node) serveQuery(f *msgFrames, guid ids.ID, cost *netsim.Cost, hops *
 			}
 		}
 		rec := recs[best]
-		if !cur.verifyReplica(f, guid, rec.server, rec.serverAddr, cost) {
+		if !cur.verifyReplica(f, w.guid, rec.server, rec.serverAddr, w.cost) {
 			// Stale pointer (dead host, reused address, or a replica that
 			// withdrew): drop it and re-select from what remains.
-			cur.purgePointer(guid, rec.server, rec.key)
+			cur.purgePointer(w.guid, rec.server, rec.key)
 			continue
 		}
-		*hops++
-		return LocateResult{
+		w.res = LocateResult{
 			Found:      true,
 			Server:     rec.server,
 			ServerAddr: rec.serverAddr,
 			FoundAt:    cur.id,
-			Hops:       *hops,
-		}, true
+			Hops:       w.hops + 1, // the final hop to the server
+		}
+		return true
 	}
 }
 
-// serveFromCache answers the query from cur's cached location mapping, if
-// any. The hint is verified with the replica itself before being served — a
-// cache entry can short-cut the route but never vouch for liveness — and a
-// failed verification drops the entry and reports a miss so the query
-// resumes ordinary routing.
-func (cur *Node) serveFromCache(f *msgFrames, guid ids.ID, cost *netsim.Cost, hops *int) (LocateResult, bool) {
-	if cur.cache == nil {
-		return LocateResult{}, false
+// serveHint is a peek walk's continuation at a node whose cache names a
+// replica (w.aside). The hint is verified with the replica itself before
+// being served — a cache entry can short-cut the route but never vouch for
+// liveness — and a failed verification drops the entry and reports a miss so
+// the query resumes ordinary routing: the probe's cost is the price of the
+// shortcut, the fallback is the normal path.
+func (w *walk) serveHint(cur *Node, f *msgFrames) bool {
+	if !cur.verifyReplica(f, w.guid, w.aside.ID, w.aside.Addr, w.cost) {
+		cur.cacheInvalidate(w.guid, w.aside.ID)
+		return false
 	}
-	now := cur.mesh.net.Epoch()
-	cur.mu.Lock()
-	ent, ok := cur.cache.lookup(guid, now)
-	cur.mu.Unlock()
-	if !ok {
-		return LocateResult{}, false
-	}
-	if !cur.verifyReplica(f, guid, ent.server, ent.serverAddr, cost) {
-		// Stale hint: the replica is gone or withdrew. Drop it; the probe's
-		// cost is the price of the shortcut, the fallback is the normal path.
-		cur.mu.Lock()
-		cur.cache.invalidate(guid, ent.server)
-		cur.mu.Unlock()
-		return LocateResult{}, false
-	}
-	*hops++
-	return LocateResult{
+	w.res = LocateResult{
 		Found:      true,
-		Server:     ent.server,
-		ServerAddr: ent.serverAddr,
+		Server:     w.aside.ID,
+		ServerAddr: w.aside.Addr,
 		FoundAt:    cur.id,
-		Hops:       *hops,
+		Hops:       w.hops + 1,
 		FromCache:  true,
-	}, true
+	}
+	return true
 }
 
 // PublishedObjects lists the GUIDs this node serves, in ascending ID order
@@ -695,83 +532,56 @@ func (n *Node) RepublishAll(cost *netsim.Cost) {
 // republishes will eventually ensure that the object pointers are on the
 // correct nodes".
 func (n *Node) OptimizeObjectPtrs(cost *netsim.Cost) {
+	n.reroutePointers(cost, ids.ID{}, false, true, func(r *pointerRec) bool { return !r.root })
+}
+
+// reroutePointers re-routes (forwardPointerPath) every pointer record at n
+// that pick selects, each from its own arrival level or — with restart — from
+// level 0, the true-root computation: the root may have diverged from this
+// node's path at any level, not just the record's. pick runs under n.mu and
+// may edit the stored record. Records go in (GUID, stored) order, never map
+// order: the order decides repair traffic at every peer.
+func (n *Node) reroutePointers(cost *netsim.Cost, exclude ids.ID, restart, bounce bool, pick func(r *pointerRec) bool) {
 	n.mu.Lock()
-	type workItem struct {
-		guid ids.ID
-		rec  pointerRec
-	}
-	var work []workItem
-	for _, guid := range sortedGUIDs(n.objects) { // re-route order must not be map order
-		for _, r := range n.objects[guid].recs {
-			if r.root {
-				continue
+	var work []pointerRec
+	for _, g := range sortedGUIDs(n.objects) {
+		recs := n.objects[g].recs
+		for i := range recs {
+			if pick(&recs[i]) {
+				work = append(work, recs[i])
 			}
-			work = append(work, workItem{guid, r})
 		}
 	}
 	n.mu.Unlock()
 	now := n.mesh.net.Epoch()
-	for _, w := range work {
-		n.forwardPointerPath(w.guid, w.rec, now, cost, ids.ID{})
+	for _, rec := range work {
+		if restart {
+			rec.level = 0
+		}
+		n.forwardPointerPath(rec, now, cost, exclude, bounce)
 	}
 }
 
 // forwardPointerPath re-walks the path of one pointer record from this node
 // toward its root using current tables (optionally routing as if `exclude`
 // did not exist), depositing/refreshing records and triggering backward
-// deletion where the new path converges with a stale one.
-func (n *Node) forwardPointerPath(guid ids.ID, rec pointerRec, now int64, cost *netsim.Cost, exclude ids.ID) {
+// deletion where the new path converges with a stale one — but only down to
+// this node, the one that initiated the re-route: the records upstream of it
+// are still on the valid path. The walk keeps going to the terminal even
+// across convergence: the path downstream may have changed too (that is what
+// triggered the re-route), so every node up to the new root must see the
+// record. With bounce off the walk ends AT an inserting node instead of
+// bouncing off it (root transfer: the inserter is where the record belongs).
+func (n *Node) forwardPointerPath(rec pointerRec, now int64, cost *netsim.Cost, exclude ids.ID, bounce bool) {
 	f := n.mesh.getFrames()
 	defer n.mesh.putFrames(f)
-	f.fwd.GUID, f.fwd.Key = guid, rec.key
+	f.fwd.GUID, f.fwd.Key = rec.guid, rec.key
 	f.fwd.Server, f.fwd.ServerAddr = rec.server, rec.serverAddr
-	prevID, prevAddr := n.id, n.addr
-	cur := n
-	level := rec.level
-	hops := 0
-	maxHops := n.table.Levels()*n.table.Base() + 8
-	for hops <= maxHops {
-		cur.mu.Lock()
-		dec := cur.nextHop(rec.key, level, exclude, nil)
-		cur.mu.Unlock()
-		if dec.terminal {
-			cur.mu.Lock()
-			if st := cur.objects[guid]; st != nil {
-				for i := range st.recs {
-					if st.recs[i].samePath(rec.server, rec.key) {
-						st.recs[i].root = true
-					}
-				}
-			}
-			cur.mu.Unlock()
-			return
-		}
-		f.fwd.Level = dec.nextLevel
-		f.fwd.PrevID, f.fwd.PrevAddr = prevID, prevAddr
-		next, err := n.mesh.invoke(cur.addr, dec.next, &f.fwd, msgAck, cost, true)
-		if err != nil {
-			cur.noteDead(dec.next, cost)
-			continue
-		}
-		newRec := pointerRec{
-			guid: guid, server: rec.server, serverAddr: rec.serverAddr,
-			key: rec.key, lastHop: prevID, lastAddr: prevAddr,
-			level: dec.nextLevel, epoch: now,
-		}
-		old, existed := next.depositPointer(newRec)
-		if existed && !old.lastHop.IsZero() && !old.lastHop.Equal(newRec.lastHop) && !old.lastHop.Equal(n.id) {
-			// The new path converged onto a node holding a record from a
-			// different predecessor: delete the stale trail backwards, but
-			// only down to the node that initiated this re-route — the
-			// records upstream of it are still on the valid path.
-			next.deleteBackward(guid, rec.key, rec.server, old.lastHop, old.lastAddr, n.id, cost)
-		}
-		// Keep walking to the terminal even across convergence: the path
-		// downstream may have changed too (that is what triggered the
-		// re-route), so every node up to the new root must see the record.
-		prevID, prevAddr = next.id, next.addr
-		cur = next
-		level = dec.nextLevel
-		hops++
-	}
+	w := f.newWalk(stepDeposit, &f.fwd, rec.key, cost)
+	w.level, w.resume = rec.level, true
+	w.exclude, w.noBounce = exclude, !bounce
+	w.guid, w.server, w.serverAddr = rec.guid, rec.server, rec.serverAddr
+	w.prevID, w.prevAddr = n.id, n.addr
+	w.epoch = now
+	_, _ = n.runWalk(f)
 }

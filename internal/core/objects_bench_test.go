@@ -67,11 +67,12 @@ func BenchmarkServeQueryManyPointers(b *testing.B) {
 			}
 			f := serving.mesh.getFrames()
 			defer serving.mesh.putFrames(f)
+			w := f.newWalk(stepPeek, &f.locate, guid, nil)
+			w.guid = guid
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				hops := 0
-				if _, ok := serving.serveQuery(f, guid, nil, &hops); !ok {
+				if !w.serveQuery(serving, f) {
 					b.Fatal("pointer hit expected")
 				}
 			}

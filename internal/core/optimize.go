@@ -81,7 +81,7 @@ func (n *Node) ReacquireTable(cost *netsim.Cost) error {
 	// Find the node's current surrogate among the *other* nodes: route to
 	// own ID as if absent.
 	n.mu.Lock()
-	dec := n.nextHop(n.id, 0, n.id, nil)
+	dec := n.nextHop(n.id, 0, &hopFilter{exclude: n.id})
 	n.mu.Unlock()
 	if dec.terminal {
 		return nil // alone in the network (or knows nobody else)

@@ -129,6 +129,6 @@ func (n *Node) handlePublishReq(q *wire.PublishReq, cost *netsim.Cost) {
 		if s < 0 || s >= n.mesh.cfg.RootSetSize {
 			continue
 		}
-		_ = n.publishPath(q.GUID, spec.Salt(q.GUID, s), cost)
+		_ = n.publishPath(q.GUID, spec.Salt(q.GUID, s), wideArea, cost)
 	}
 }

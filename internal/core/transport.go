@@ -42,12 +42,15 @@ import (
 // data-carrying response (table-band queries, join snapshots, backpointer
 // registrations, leave notifications, share offers, replica verification)
 // are executed by (*Node).dispatch on the receiving node. Walk-step messages
-// (RouteStep, LocateStep, McastStep, CaravanStep, ...) are dispatch no-ops:
-// the walk drivers in this package perform each node's step in-process after
-// the transport delivers the hop, which keeps the iterative walk structure —
-// and its carefully tuned allocation behavior — intact while the messages
-// themselves document and (under loopback/TCP) exercise the full wire
-// protocol.
+// (RouteStep, LocateStep, LocalStep, PtrForward; McastStep, CaravanStep) are
+// dispatch no-ops: a key-directed walk is one driver (runWalk, walk.go) that
+// owns the hop policy and, once the transport has delivered the hop, runs the
+// operation's step at the node it returns — under one hold of that node's
+// lock, touching only that node; whatever the step needs sent is a
+// continuation the driver runs after unlocking. The step is therefore
+// already a handler in all but its call site, while the iterative driver —
+// and its allocation-free hot path — stays, and the messages themselves
+// document and (under loopback/TCP) exercise the full wire protocol.
 
 // TransportKind selects the message-transport backend of a Mesh.
 type TransportKind int
@@ -156,6 +159,7 @@ var (
 // starts its own walk takes its own bundle — so a frame's contents are stable
 // for the duration of one Invoke/OneWay call.
 type msgFrames struct {
+	walk       walk // the bundle's key-directed walk (walk.go); its step message is one of the frames below
 	route      wire.RouteStep
 	match      wire.MatchQueryReq
 	matchResp  wire.MatchQueryResp
@@ -232,8 +236,8 @@ func (target *Node) dispatch(req, resp wire.Msg, cost *netsim.Cost) {
 	case *wire.Ping, *wire.Ack, *wire.ReacquireReq,
 		*wire.RouteStep, *wire.LocateStep, *wire.LocalStep,
 		*wire.McastStep, *wire.CaravanStep, *wire.PtrForward, *wire.DeleteBack:
-		// Walk steps and probes: the per-node work is performed by the
-		// driving walk loop in-process (see the file comment).
+		// Walk steps and probes: the walk driver runs the receiver's step
+		// in-process (see the file comment).
 	case *wire.MatchQueryReq:
 		r := resp.(*wire.MatchQueryResp)
 		r.Entries = r.Entries[:0]

@@ -10,9 +10,9 @@
 // ID or name regexp; emit.go renders results as text, JSON or CSV.
 //
 // The exported one-call-per-experiment functions (Table1Hops, Multicast, …)
-// remain as serial wrappers over the same definitions, so benchmarks
-// (bench_test.go), the CLIs and EXPERIMENTS.md all share exactly one
-// implementation of every paper-facing number.
+// remain as serial wrappers over the same definitions where this package's
+// tests call them, so tests, the CLIs and EXPERIMENTS.md all share exactly
+// one implementation of every paper-facing number.
 package expt
 
 import (

@@ -68,8 +68,7 @@ func Benches() []Benchmark {
 }
 
 // OpLocate: the facade-level end-to-end locate on a settled 256-node
-// network, round-robin over clients (mirrors bench_test.go's
-// BenchmarkOpLocate).
+// network, round-robin over clients.
 func setupOpLocate() func(b *B) {
 	nw, err := tapestry.New(tapestry.RingSpace(256*4), tapestry.Defaults())
 	if err != nil {

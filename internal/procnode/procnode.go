@@ -10,8 +10,9 @@
 // The daemon deliberately reuses the single-process building blocks rather
 // than reimplementing them: identifiers and surrogate order from
 // internal/ids, the CSR routing table from internal/route (route.New inserts
-// the owner into its own slots, so "self resolves the digit" works unchanged)
-// and the message catalog from internal/wire. Only the hop loop itself lives
+// the owner into its own slots, so "self resolves the digit" works unchanged),
+// the per-hop surrogate decision from that table (route.Table.NextHop) and
+// the message catalog from internal/wire. Only the forwarding itself lives
 // here, because in-process routing drives walks from the mesh while a daemon
 // sees one hop at a time.
 package procnode
@@ -136,36 +137,15 @@ func (n *Node) install(m *wire.ClusterInstall) {
 	}
 }
 
-// nextHopLocked makes the local surrogate-routing decision for key with
-// `level` digits already resolved — the daemon-side twin of the core's
-// native scheme: at each level, scan digits in surrogate order from the
-// key's own digit and take the first slot with any entry; the own ID
-// resolving the digit means "stay put, next level"; running out of levels
-// (or an empty row, impossible with self present) means this node is the
-// key's root.
-func (n *Node) nextHopLocked(key ids.ID, level int) (next route.Entry, nextLevel int, terminal bool) {
+// nextHop makes the local surrogate-routing decision for key with `level`
+// digits already resolved: the routing table's own native scan, the very
+// function internal/core decides every in-process hop with. A daemon that has
+// not been provisioned yet is the root of everything. The caller holds n.mu.
+func (n *Node) nextHop(key ids.ID, level int) (next route.Entry, nextLevel int, terminal bool) {
 	if n.table == nil {
 		return route.Entry{}, 0, true
 	}
-	base := n.table.Base()
-	for l := level; l < n.table.Levels(); l++ {
-		want := int(key.Digit(l))
-		var set []route.Entry
-		for i := 0; i < base; i++ {
-			if s := n.table.SetView(l, ids.Digit((want+i)%base)); len(s) > 0 {
-				set = s
-				break
-			}
-		}
-		if len(set) == 0 {
-			return route.Entry{}, 0, true
-		}
-		if set[0].ID.Equal(n.self.ID) {
-			continue // digit resolved by staying put
-		}
-		return set[0], l + 1, false
-	}
-	return route.Entry{}, 0, true
+	return n.table.NextHop(key, level, nil)
 }
 
 // publish handles one hop of a publish walk: deposit the pointer, then
@@ -175,7 +155,7 @@ func (n *Node) nextHopLocked(key ids.ID, level int) (next route.Entry, nextLevel
 func (n *Node) publish(m *wire.ClusterPublish) wire.Msg {
 	n.mu.Lock()
 	n.ptrs[m.GUID] = pointer{server: m.Server, addr: m.ServerAddr}
-	next, level, terminal := n.nextHopLocked(m.Key, m.Level)
+	next, level, terminal := n.nextHop(m.Key, m.Level)
 	self := n.self
 	n.mu.Unlock()
 	if terminal {
@@ -205,7 +185,7 @@ func (n *Node) locate(m *wire.ClusterLocate) wire.Msg {
 		// One more hop: the jump from the pointer to the server itself.
 		return &wire.ClusterFound{Found: true, Server: p.server, ServerAddr: p.addr, Hops: m.Hops + 1}
 	}
-	next, level, terminal := n.nextHopLocked(m.Key, m.Level)
+	next, level, terminal := n.nextHop(m.Key, m.Level)
 	n.mu.Unlock()
 	if terminal {
 		return &wire.ClusterFound{Hops: m.Hops}

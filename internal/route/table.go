@@ -298,6 +298,46 @@ func (t *Table) RangeView(lo, hi int) []Entry {
 	return t.ents[t.off[lo*t.spec.Base]:t.off[hi*t.spec.Base]]
 }
 
+// NextHop makes the Tapestry-native surrogate routing decision of Section
+// 2.3 for key with `level` digits already resolved. At each remaining level
+// it scans the slots in surrogate order — the key's own digit first, then
+// wrapping upward — and takes the first entry the skip filter lets through
+// (primary before secondaries, so a filtered primary fails over to its
+// backups). The owner's own entry resolves the digit by staying put, and the
+// scan moves one level up; any other entry is the next hop, reached with
+// nextLevel digits resolved. Running out of levels, or of unfiltered entries
+// in a row, makes the owner the terminal: the key's root, or its best
+// surviving surrogate.
+//
+// skip hides entries from the decision (an excluded node, peers observed
+// dead, peers outside a region); nil hides nothing and reads every slot in
+// place. Same locking contract as SetView.
+func (t *Table) NextHop(key ids.ID, level int, skip func(Entry) bool) (next Entry, nextLevel int, terminal bool) {
+	base := t.spec.Base
+	for l := level; l < t.spec.Digits; l++ {
+		row := l * base
+		want := int(key.Digit(l))
+		found := false
+	scan:
+		for i := 0; i < base; i++ {
+			s := row + (want+i)%base
+			for _, e := range t.ents[t.off[s]:t.off[s+1]] {
+				if skip == nil || !skip(e) {
+					next, found = e, true
+					break scan
+				}
+			}
+		}
+		if !found {
+			return Entry{}, 0, true
+		}
+		if !next.ID.Equal(t.owner) {
+			return next, l + 1, false
+		}
+	}
+	return Entry{}, 0, true
+}
+
 // Primary returns the closest non-leaving neighbor at (level, digit). If all
 // entries are marked leaving it falls back to the closest entry, so routing
 // keeps working during a graceful departure window ("incoming queries still
