@@ -25,13 +25,20 @@ type churnPhase struct {
 // ordered nnSearch pool, map-free caravan). That rewrite must keep every
 // message, repair order and table byte-identical; any drift here is a
 // behavior change, not a measurement.
+//
+// The leave column alone was re-pinned since (PR 16): Unpublish walked with a
+// nil meter, so a Leave's Cost omitted its phase-2a traffic. No message was
+// added — the network sent exactly what it sent before — the column grew by
+// each epoch's unpublish messages (+0, +8, +6, +16, +16, +8, from 399, 467,
+// 255, 350, 664, 742), and a leave's Cost now equals what the network counted
+// while it ran, which runPinnedChurn checks.
 var pinnedChurnPhases = [6]churnPhase{
 	{join: 1398, leave: 399, sweep: 657, republish: 831, removed: 197},
-	{join: 1497, leave: 467, sweep: 541, republish: 870, removed: 237},
-	{join: 1410, leave: 255, sweep: 1219, republish: 910, removed: 151},
-	{join: 1265, leave: 350, sweep: 1356, republish: 942, removed: 172},
-	{join: 1331, leave: 664, sweep: 563, republish: 978, removed: 216},
-	{join: 1375, leave: 742, sweep: 1020, republish: 1029, removed: 160},
+	{join: 1497, leave: 475, sweep: 541, republish: 870, removed: 237},
+	{join: 1410, leave: 261, sweep: 1219, republish: 910, removed: 151},
+	{join: 1265, leave: 366, sweep: 1356, republish: 942, removed: 172},
+	{join: 1331, leave: 680, sweep: 563, republish: 978, removed: 216},
+	{join: 1375, leave: 750, sweep: 1020, republish: 1029, removed: 160},
 }
 
 // pinnedPartitionRepublish is the republish traffic of one maintenance epoch
@@ -131,10 +138,16 @@ func runPinnedChurn(t *testing.T, kind TransportKind) ([6]churnPhase, [2]int, st
 				born++
 			}
 		}
+		sent := m.net.TotalMessages()
 		for j := 0; j < 2; j++ {
 			if err := m.randomLiveNode(rng).Leave(&leave); err != nil {
 				t.Fatalf("%v: epoch %d leave: %v", kind, ep, err)
 			}
+		}
+		// A leave is charged every message it causes (over TCP its handlers'
+		// own traffic is not: a Cost cannot cross a socket).
+		if sent = m.net.TotalMessages() - sent; kind != TransportTCP && int64(leave.Messages()) != sent {
+			t.Errorf("%v: epoch %d: leaves were charged %d messages, the network counted %d", kind, ep, leave.Messages(), sent)
 		}
 		for j := 0; j < 3; j++ {
 			m.Fail(m.randomLiveNode(rng))

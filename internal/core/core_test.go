@@ -274,11 +274,28 @@ func TestLocateFindsClosestReplica(t *testing.T) {
 func TestUnpublishRemovesObject(t *testing.T) {
 	m, nodes := buildMesh(t, 24, testConfig(), 10)
 	guid := testSpec.Hash("volatile")
+	root, _, err := nodes[0].SurrogateFor(guid, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	server := nodes[2]
+	if server == root {
+		server = nodes[3] // a path with at least one hop on it
+	}
 	if err := server.Publish(guid, nil); err != nil {
 		t.Fatal(err)
 	}
-	server.Unpublish(guid, nil)
+	// The withdrawal retraces the publish path and is charged what it sends.
+	var pub, unpub netsim.Cost
+	if err := server.Publish(guid, &pub); err != nil {
+		t.Fatal(err)
+	}
+	sent := m.net.TotalMessages()
+	server.Unpublish(guid, &unpub)
+	if sent = m.net.TotalMessages() - sent; int64(unpub.Messages()) != sent || unpub.Messages() != pub.Messages() || unpub.Messages() == 0 {
+		t.Errorf("unpublish charged %d messages; the network counted %d and the republish over the same path cost %d",
+			unpub.Messages(), sent, pub.Messages())
+	}
 	for _, c := range nodes {
 		if res := c.Locate(guid, nil); res.Found {
 			t.Fatalf("object still locatable from %v after unpublish", c.id)

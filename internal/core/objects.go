@@ -223,10 +223,9 @@ func (n *Node) Unpublish(guid ids.ID, cost *netsim.Cost) {
 	for i := 0; i < n.mesh.cfg.RootSetSize; i++ {
 		key := spec.Salt(guid, i)
 		f.route.Key, f.route.Op = key, wire.RouteOpUnpublish
-		w := f.newWalk(stepRemove, &f.route, key, nil)
+		w := f.newWalk(stepRemove, &f.route, key, cost)
 		w.guid, w.server = guid, n.id
 		_, _ = n.runWalk(f)
-		_ = cost
 	}
 	n.mesh.putFrames(f)
 }

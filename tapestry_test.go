@@ -48,8 +48,11 @@ func TestFacadeLifecycle(t *testing.T) {
 
 func TestFacadeUnpublish(t *testing.T) {
 	_, nodes := newNet(t, 16)
-	nodes[3].Publish("temp")
-	nodes[3].Unpublish("temp")
+	pub, _ := nodes[3].Publish("temp")
+	// The withdrawal retraces the publish path, and reports what it cost.
+	if unpub := nodes[3].Unpublish("temp"); unpub.Messages == 0 || unpub.Messages != pub.Messages {
+		t.Errorf("unpublish cost %d messages, the publish over the same path %d", unpub.Messages, pub.Messages)
+	}
 	if res, _ := nodes[8].Locate("temp"); res.Found {
 		t.Error("found after unpublish")
 	}
