@@ -17,7 +17,7 @@ import (
 // audited. The query load is what makes the historical failure modes likely
 // — it perturbs the join interleavings enough that, before the fixes
 // (whole-insertion pin lifetime, step-2 surrogate pin, pre-descend inflight
-// forwarding, Figure 10 bounce in routeToKey, atomic register), two
+// forwarding, Figure 10 bounce in the walk driver, atomic register), two
 // concurrent inserters could permanently miss each other or seed a join
 // from a mid-insertion surrogate's near-empty table.
 func TestConcurrentJoinsUnderQueryLoad(t *testing.T) {

@@ -373,9 +373,11 @@ func (w *walk) serveQuery(cur *Node, f *msgFrames) bool {
 	for {
 		recs := buf[:0]
 		cur.mu.Lock()
-		if st := cur.objects[w.guid]; st != nil {
+		if st := cur.objects[w.guid]; st != nil && w.regions == nil {
+			recs = append(recs, st.recs...)
+		} else if st != nil {
 			for i := range st.recs {
-				if w.regions == nil || w.regions[st.recs[i].serverAddr] == w.region {
+				if w.regions[st.recs[i].serverAddr] == w.region {
 					recs = append(recs, st.recs[i])
 				}
 			}

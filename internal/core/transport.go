@@ -159,7 +159,8 @@ var (
 // starts its own walk takes its own bundle — so a frame's contents are stable
 // for the duration of one Invoke/OneWay call.
 type msgFrames struct {
-	walk       walk // the bundle's key-directed walk (walk.go); its step message is one of the frames below
+	walk       walk      // the bundle's key-directed walk (walk.go); its step message is one of the frames below
+	visitedBuf [8]ids.ID // backs the walk's loop memory until a walk outgrows it: a fresh bundle grows no slice hop by hop
 	route      wire.RouteStep
 	match      wire.MatchQueryReq
 	matchResp  wire.MatchQueryResp

@@ -116,15 +116,18 @@ type walk struct {
 }
 
 // newWalk resets the bundle's walk for one walk toward key, keeping the
-// buffers of the last one.
+// buffers of the last one. (Cleared in place, then filled: assigning a
+// composite literal that reads *w would build it in a temporary first.)
 func (f *msgFrames) newWalk(step walkStep, msg wire.Msg, key ids.ID, cost *netsim.Cost) *walk {
 	w := &f.walk
 	clear(w.path)
-	*w = walk{
-		hopFilter: hopFilter{dead: w.dead[:0]},
-		step:      step, msg: msg, key: key, cost: cost,
-		visited: w.visited[:0], path: w.path[:0],
+	dead, visited, path := w.dead[:0], w.visited[:0], w.path[:0]
+	if visited == nil {
+		visited = f.visitedBuf[:0]
 	}
+	*w = walk{}
+	w.dead, w.visited, w.path = dead, visited, path
+	w.step, w.msg, w.key, w.cost = step, msg, key, cost
 	return w
 }
 

@@ -149,7 +149,7 @@ func TestLossyLinksScenarioDirect(t *testing.T) {
 		t.Fatalf("faults survived recovery: %+v", rec)
 	}
 	// Full recovery is NOT expected, and that is a finding this engine
-	// exists to surface: a single lost message makes routeToKey evict the
+	// exists to surface: a single lost message makes the walk driver evict the
 	// live peer (noteDead -> table.Remove), and when it was the only
 	// (beta,j) node the resulting hole is an illegitimate surrogate-routing
 	// inconsistency that republish alone cannot heal. Assert the hit rate

@@ -286,7 +286,7 @@ func (*Ack) WireType() Type  { return TAck }
 func (*Ack) EncodeTo(*Enc)   {}
 func (*Ack) DecodeFrom(*Dec) {}
 
-// RouteStep is one hop of a routeToKey walk (Section 2.3): route toward Key,
+// RouteStep is one hop of a key-directed walk (Section 2.3): route toward Key,
 // currently matched to Level digits. Op records whether the walk is a plain
 // route, a publish path, or an unpublish path.
 type RouteStep struct {
