@@ -243,7 +243,7 @@ func (m *Mesh) AuditProperty4() []string {
 				for _, cur := range path {
 					cur.mu.Lock()
 					ok := false
-					if st := cur.objects[guid]; st != nil {
+					if st := cur.find(guid); st != nil {
 						for _, r := range st.recs {
 							if r.samePath(server.id, key) {
 								ok = true

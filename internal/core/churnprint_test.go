@@ -106,6 +106,10 @@ func runPinnedChurn(t *testing.T, kind TransportKind) ([6]churnPhase, [2]int, st
 	case *tcpTransport:
 		tr.afterDispatch = scribble
 	}
+	// The pointer store recycles its states the same way, under the same kind
+	// of rule — nothing keeps a state or its records past the node's lock —
+	// and gets the same treatment on every transport (store_test.go).
+	m.afterRelease = poisonState
 	perm := rng.Perm(space.Size())
 	addrs := make([]netsim.Addr, 256)
 	for i := range addrs {

@@ -234,7 +234,7 @@ func (x *Node) linkAndXferRoot(n *Node, cost *netsim.Cost) {
 	// move, the walk simply re-terminates at X and the records refresh in
 	// place.
 	x.reroutePointers(cost, ids.ID{}, true, false, func(r *pointerRec) bool {
-		if !r.root && !x.nextHop(r.key, r.level, nil).terminal {
+		if !r.root && !x.nextHop(r.key, int(r.level), nil).terminal {
 			return false
 		}
 		r.root = false

@@ -168,7 +168,7 @@ func (h *Node) onPeerLeaving(leaver ids.ID, level int, replacements []route.Entr
 		if r.root {
 			return false
 		}
-		dec := h.nextHop(r.key, r.level, nil)
+		dec := h.nextHop(r.key, int(r.level), nil)
 		return !dec.terminal && dec.next.ID.Equal(leaver)
 	})
 	h.mu.Lock()

@@ -44,24 +44,37 @@ import (
 // several levels needs no per-node dedup here: a live one costs a verdict
 // lookup, and a corpse's second noteDead finds nothing left to remove.
 func (m *Mesh) SweepDeadAll(cost *netsim.Cost) int {
-	verdict := map[ids.ID]bool{}
+	f := m.getFrames()
+	sc := &f.sweep
+	if sc.verdict == nil {
+		sc.verdict = map[ids.ID]bool{}
+	}
 	removed := 0
-	var links []route.Entry
 	for _, n := range m.Nodes() {
-		links = n.appendNeighbors(links[:0])
-		for _, e := range links {
-			alive, probed := verdict[e.ID]
+		sc.links = n.appendNeighbors(sc.links[:0])
+		for _, e := range sc.links {
+			alive, probed := sc.verdict[e.ID]
 			if !probed {
 				_, err := m.invoke(n.addr, e, msgPing, msgAck, cost, false)
 				alive = err == nil
-				verdict[e.ID] = alive
+				sc.verdict[e.ID] = alive
 			}
 			if !alive {
 				removed += n.noteDead(e, cost)
 			}
 		}
 	}
+	clear(sc.verdict)
+	m.putFrames(f)
 	return removed
+}
+
+// sweepScratch is SweepDeadAll's reusable state, recycled with the
+// operation's msgFrames like caravanScratch: the epoch's liveness verdicts
+// (cleared, so the map keeps its buckets) and the flat link snapshot.
+type sweepScratch struct {
+	verdict map[ids.ID]bool
+	links   []route.Entry
 }
 
 // caravanScratch is republishBatched's reusable state, recycled with the
@@ -177,14 +190,14 @@ func (n *Node) republishBatched(guids []ids.ID, cost *netsim.Cost) {
 		cur.mu.Lock()
 		for i := b.lo; i < b.hi; i++ {
 			r := &sc.recs[i]
-			if from, converged := cur.depositOnPath(pointerRec{
+			if _, from, converged := cur.depositOnPath(pointerRec{
 				guid:       r.GUID,
 				server:     n.id,
 				serverAddr: n.addr,
 				key:        r.Key,
 				lastHop:    r.PrevID,
 				lastAddr:   r.PrevAddr,
-				level:      r.Level,
+				level:      uint8(r.Level),
 				epoch:      now,
 			}, n.id); converged {
 				sc.stale = append(sc.stale, staleTrail{i, from})
@@ -264,7 +277,11 @@ func handleTerminalRecords(server, cur *Node, recs []wire.PubRec, idxs []int, co
 	bounce := inserting && !cur.psurrogate.ID.IsZero()
 	if !bounce {
 		for _, i := range idxs {
-			cur.flagRoot(recs[i].GUID, server.id, recs[i].Key)
+			// Its own probe: the deposit that laid the record was an earlier
+			// hold of cur's lock.
+			if st := cur.find(recs[i].GUID); st != nil {
+				st.flagRoot(server.id, recs[i].Key)
+			}
 		}
 	}
 	cur.mu.Unlock()

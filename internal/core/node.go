@@ -238,9 +238,14 @@ type Node struct {
 	id   ids.ID
 	addr netsim.Addr
 
+	// label is id rendered once, at construction: what a caller above core
+	// is shown for this node, so no result renders it again.
+	label string
+
 	mu      sync.Mutex
 	table   *route.Table
-	objects map[ids.ID]*objState // GUID -> pointer records
+	objects map[ids.ID]*objState // GUID -> pointer records (the pointer store, objects.go)
+	free    *objState            // released states, linked through next, for the next deposit
 	state   lifecycle            // written under mu, readable without it
 
 	// published lists the GUIDs this node serves replicas of (it is a
@@ -264,6 +269,10 @@ type Node struct {
 
 // ID returns the node's identifier.
 func (n *Node) ID() ids.ID { return n.id }
+
+// Label returns the identifier's rendering, ID().String(), without building
+// the string again.
+func (n *Node) Label() string { return n.label }
 
 // Addr returns the node's network address.
 func (n *Node) Addr() netsim.Addr { return n.addr }
@@ -344,6 +353,10 @@ type Mesh struct {
 	// recycles the per-operation wire-message bundles the walk drivers fill.
 	tr        Transport
 	framePool sync.Pool
+
+	// afterRelease, when set (tests only), sees each pointer-store state the
+	// moment it has gone onto a free list, with the record window it held.
+	afterRelease func(st *objState, window []pointerRec)
 }
 
 // getNNScratch hands out a clean search arena; putNNScratch recycles it.
@@ -416,14 +429,16 @@ func (m *Mesh) Bootstrap(id ids.ID, addr netsim.Addr) (*Node, error) {
 // newNode allocates a node that is NOT yet in the registry. Every field a
 // concurrent reader may touch must be set before publish makes it visible.
 func (m *Mesh) newNode(id ids.ID, addr netsim.Addr) *Node {
+	label := id.String()
 	n := &Node{
 		mesh:      m,
 		id:        id,
 		addr:      addr,
+		label:     label,
 		table:     route.New(m.cfg.Spec, id, addr, m.cfg.R),
 		objects:   make(map[ids.ID]*objState),
 		published: make(map[ids.ID]bool),
-		rootSalt:  uint64(stats.StreamSeed(m.cfg.Seed, id.String(), 0)),
+		rootSalt:  uint64(stats.StreamSeed(m.cfg.Seed, label, 0)),
 	}
 	if m.cfg.LocateCacheCap > 0 {
 		n.cache = newLocateCache(m.cfg.LocateCacheCap, m.cfg.LocateCacheTTL)

@@ -21,9 +21,12 @@ type pointerRec struct {
 	key        ids.ID // the (salted) routing key this path follows
 	lastHop    ids.ID // previous node on the publish path; zero at the server
 	lastAddr   netsim.Addr
-	level      int   // digits resolved when the publish arrived here
 	epoch      int64 // deposit/refresh time for expiry
-	root       bool  // the publish path terminated at this node
+	// level and root share a word: a state with its inline record and its
+	// free-list link is 128 bytes, where the 24-byte state and the 112-byte
+	// block of its one-record array were 136.
+	level uint8 // digits resolved when the publish arrived here (a Spec has at most 64)
+	root  bool  // the publish path terminated at this node
 }
 
 // samePath reports whether the record lies on the (server, key) publish
@@ -32,9 +35,32 @@ func (r *pointerRec) samePath(server, key ids.ID) bool {
 	return r.server.Equal(server) && r.key.Equal(key)
 }
 
-// objState is a node's pointer set for one GUID.
+// The pointer store. Node.objects maps a GUID to the node's pointer set for
+// it, an objState; Section 2.2 puts a pointer at every hop of every publish
+// path and Section 6.5 withdraws, expires and re-lays them forever, so every
+// publish, unpublish, locate and republish comes through here at every hop.
+// Three rules keep that churn off the heap and the map:
+//
+//  1. One probe per arrival. find and findOrMake are the store's only map
+//     reads; an operation probes once per hold of the node's lock and works
+//     on the *objState it got for the rest of that hold.
+//  2. Nothing outlives the lock. An *objState, or a window of its records, is
+//     never kept past the release of Node.mu — the state may be recycled for
+//     another GUID the moment the lock drops. What is needed later is copied
+//     out by value.
+//  3. release is the only exit. Every way a record leaves — unpublish, purge,
+//     expiry, Figure 9 teardown — ends in drop or expirePointers, which hand
+//     an emptied state to release: the one place a state leaves the map, and
+//     where it joins the node's free list for the next publish to reuse.
+
+// objState is a node's pointer set for one GUID. The first record lives in
+// the state itself — recs opens as a window of one — so the usual single
+// replica costs one object, and none once the free list is warm; further
+// replicas grow recs onto the heap like any slice.
 type objState struct {
 	recs []pointerRec
+	one  [1]pointerRec
+	next *objState // the free list's link; nil while the state is in the store
 }
 
 func (o *objState) upsert(r pointerRec) (prev pointerRec, existed bool) {
@@ -59,51 +85,76 @@ func (o *objState) remove(server, key ids.ID) bool {
 	return false
 }
 
+// flagRoot marks the record on the (server, key) path as the path's terminal.
+func (o *objState) flagRoot(server, key ids.ID) {
+	for i := range o.recs {
+		if o.recs[i].samePath(server, key) {
+			o.recs[i].root = true
+		}
+	}
+}
+
+// find returns n's pointer set for guid, nil when it holds none. The store
+// is keyed by the *unsalted* GUID so queries (which know only the GUID) find
+// pointers deposited along any salted path. The caller holds n.mu.
+func (n *Node) find(guid ids.ID) *objState { return n.objects[guid] }
+
+// findOrMake is find for a deposit: a GUID new to n gets an empty state, off
+// the free list when it has one. The caller holds n.mu.
+func (n *Node) findOrMake(guid ids.ID) *objState {
+	st := n.objects[guid]
+	if st == nil {
+		if st = n.free; st != nil {
+			n.free, st.next = st.next, nil
+		} else {
+			st = new(objState)
+		}
+		st.recs = st.one[:0]
+		n.objects[guid] = st
+	}
+	return st
+}
+
+// release takes guid's emptied state out of the store and puts it, zeroed —
+// a free state pins no identifier and no grown record array — on n's free
+// list. The caller holds n.mu.
+func (n *Node) release(guid ids.ID, st *objState) {
+	delete(n.objects, guid)
+	window := st.recs[:cap(st.recs)]
+	*st = objState{next: n.free}
+	n.free = st
+	if n.mesh.afterRelease != nil {
+		n.mesh.afterRelease(st, window)
+	}
+}
+
+// drop removes the (server, key) record from st — n's state for guid, nil
+// when it has none — releasing a state that empties, and the cached hint
+// naming the same server: a hint must not outlive the pointer whose replica
+// withdrew or failed. The caller holds n.mu.
+func (n *Node) drop(st *objState, guid, server, key ids.ID) {
+	if st != nil && st.remove(server, key) && len(st.recs) == 0 {
+		n.release(guid, st)
+	}
+	if n.cache != nil {
+		n.cache.invalidate(guid, server)
+	}
+}
+
 // depositOnPath stores/refreshes a pointer at n, one node of a path being
 // laid from origin, and detects convergence (Section 4.2, Figure 9): the node
 // already held a record on this (server, key) path that arrived from
 // elsewhere, so everything from there back is a stale trail — which it
 // returns — to be deleted backwards as far as origin, whose own record (and
-// everything upstream of it) is still valid. The caller holds n.mu.
-func (n *Node) depositOnPath(r pointerRec, origin ids.ID) (stale route.Entry, converged bool) {
-	// The store is keyed by the *unsalted* GUID so queries (which know only
-	// the GUID) find pointers deposited along any salted path.
-	st := n.objects[r.guid]
-	if st == nil {
-		st = &objState{}
-		n.objects[r.guid] = st
-	}
+// everything upstream of it) is still valid. It returns the state the record
+// went into, for whatever else the caller does under this hold of n.mu.
+func (n *Node) depositOnPath(r pointerRec, origin ids.ID) (st *objState, stale route.Entry, converged bool) {
+	st = n.findOrMake(r.guid)
 	old, existed := st.upsert(r)
 	if existed && !old.lastHop.IsZero() && !old.lastHop.Equal(r.lastHop) && !old.lastHop.Equal(origin) {
-		return entryAt(old.lastHop, old.lastAddr), true
+		return st, entryAt(old.lastHop, old.lastAddr), true
 	}
-	return route.Entry{}, false
-}
-
-// flagRoot marks n's record on the (server, key) path as the path's terminal.
-// The caller holds n.mu.
-func (n *Node) flagRoot(guid, server, key ids.ID) {
-	if st := n.objects[guid]; st != nil {
-		for i := range st.recs {
-			if st.recs[i].samePath(server, key) {
-				st.recs[i].root = true
-			}
-		}
-	}
-}
-
-// dropLocked removes n's record on the (server, key) path, if any, and the
-// cached hint naming the same server: a hint must not outlive the pointer
-// whose replica withdrew or failed. The caller holds n.mu.
-func (n *Node) dropLocked(guid, server, key ids.ID) {
-	if st := n.objects[guid]; st != nil {
-		if st.remove(server, key) && len(st.recs) == 0 {
-			delete(n.objects, guid)
-		}
-	}
-	if n.cache != nil {
-		n.cache.invalidate(guid, server)
-	}
+	return st, route.Entry{}, false
 }
 
 // purgePointer removes a stale (server, key) record observed dead or
@@ -111,7 +162,7 @@ func (n *Node) dropLocked(guid, server, key ids.ID) {
 // until the soft-state refresh re-deposits a live one.
 func (n *Node) purgePointer(guid, server, key ids.ID) {
 	n.mu.Lock()
-	n.dropLocked(guid, server, key)
+	n.drop(n.find(guid), guid, server, key)
 	n.mu.Unlock()
 }
 
@@ -176,9 +227,10 @@ func (n *Node) deleteBackward(guid, key, server ids.ID, hop route.Entry, stopAt 
 		}
 		found, protected := false, false
 		target.mu.Lock()
-		if st := target.objects[guid]; st != nil {
-			for _, r := range st.recs {
-				if r.samePath(server, key) {
+		st := target.find(guid)
+		if st != nil {
+			for i := range st.recs {
+				if r := &st.recs[i]; r.samePath(server, key) {
 					found = true
 					hop = entryAt(r.lastHop, r.lastAddr)
 					// A node that is currently the terminal for this key —
@@ -190,12 +242,12 @@ func (n *Node) deleteBackward(guid, key, server ids.ID, hop route.Entry, stopAt 
 					// pointers until the new root has acknowledged" is this
 					// guard in soft-state form). Stale residue that survives
 					// here is cleaned up by TTL expiry.
-					protected = r.root || target.nextHop(key, r.level, nil).terminal
+					protected = r.root || target.nextHop(key, int(r.level), nil).terminal
 				}
 			}
 		}
 		if found && !protected {
-			target.dropLocked(guid, server, key)
+			target.drop(st, guid, server, key)
 		}
 		target.mu.Unlock()
 		if !found || protected {
@@ -357,45 +409,31 @@ func (cur *Node) verifyReplica(f *msgFrames, guid, server ids.ID, addr netsim.Ad
 
 // serveQuery is a peek walk's continuation at a node holding pointer records
 // for the object: the query proceeds to the closest live replica known here.
-// The lock is held only for a snapshot of the records (into a stack buffer —
-// no heap traffic at realistic replica counts; a stub-confined walk snapshots
-// only replicas inside its stub, so the local phase never leaves it);
-// distance evaluation runs outside it, since on lazy graph metrics a cold
-// Distance is a Dijkstra and must not stall every operation contending for
-// this node. Selection is a single pass, and a replica that turns out dead —
-// or live but no longer publishing — is purged from the store on the spot, so
-// subsequent queries stop burning a probe on it until the soft-state refresh
-// re-deposits a live pointer. It runs only where the step saw records — the
-// walk's last hop — so the hops before it do not pay for zeroing the 1.6 KB
-// buffer. It reports whether the walk is answered (in w.res).
+// The usual store holds one record, which is read straight out of it — no
+// snapshot, and no distance evaluated with nothing to compare it to; several
+// records, or a stub-confined walk, go through closestReplica. A replica that
+// turns out dead — or live but no longer publishing — is purged from the
+// store on the spot, so subsequent queries stop burning a probe on it until
+// the soft-state refresh re-deposits a live pointer. It reports whether the
+// walk is answered (in w.res).
 func (w *walk) serveQuery(cur *Node, f *msgFrames) bool {
-	var buf [16]pointerRec
 	for {
-		recs := buf[:0]
+		var rec pointerRec
 		cur.mu.Lock()
-		if st := cur.objects[w.guid]; st != nil && w.regions == nil {
-			recs = append(recs, st.recs...)
-		} else if st != nil {
-			for i := range st.recs {
-				if w.regions[st.recs[i].serverAddr] == w.region {
-					recs = append(recs, st.recs[i])
-				}
-			}
-		}
-		cur.mu.Unlock()
-		if len(recs) == 0 {
+		st := cur.find(w.guid)
+		switch {
+		case st == nil:
+			cur.mu.Unlock()
 			return false
-		}
-		// "If multiple pointers are encountered, the query proceeds to the
-		// closest replica to the current node."
-		best := 0
-		bestD := cur.mesh.net.Distance(cur.addr, recs[0].serverAddr)
-		for i := 1; i < len(recs); i++ {
-			if d := cur.mesh.net.Distance(cur.addr, recs[i].serverAddr); d < bestD {
-				best, bestD = i, d
+		case len(st.recs) == 1 && w.regions == nil:
+			rec = st.recs[0]
+			cur.mu.Unlock()
+		default:
+			var ok bool
+			if rec, ok = w.closestReplica(cur, st); !ok {
+				return false
 			}
 		}
-		rec := recs[best]
 		if !cur.verifyReplica(f, w.guid, rec.server, rec.serverAddr, w.cost) {
 			// Stale pointer (dead host, reused address, or a replica that
 			// withdrew): drop it and re-select from what remains.
@@ -411,6 +449,45 @@ func (w *walk) serveQuery(cur *Node, f *msgFrames) bool {
 		}
 		return true
 	}
+}
+
+// closestReplica picks, among the records of st — cur's state for the walk's
+// object — the one whose replica is closest to cur: "If multiple pointers are
+// encountered, the query proceeds to the closest replica to the current
+// node." It is entered with cur.mu held and releases it: the lock covers only
+// a snapshot of the records (into a stack buffer — no heap traffic at
+// realistic replica counts; a stub-confined walk snapshots only replicas
+// inside its stub, so the local phase never leaves it), and distance
+// evaluation runs outside it, since on lazy graph metrics a cold Distance is
+// a Dijkstra and must not stall every operation contending for this node. It
+// is a function of its own, never inlined, so that only a query which gets
+// here pays for zeroing the 1.5 KB buffer.
+//
+//go:noinline
+func (w *walk) closestReplica(cur *Node, st *objState) (pointerRec, bool) {
+	var buf [16]pointerRec
+	recs := buf[:0]
+	if w.regions == nil {
+		recs = append(recs, st.recs...)
+	} else {
+		for i := range st.recs {
+			if w.regions[st.recs[i].serverAddr] == w.region {
+				recs = append(recs, st.recs[i])
+			}
+		}
+	}
+	cur.mu.Unlock()
+	if len(recs) == 0 {
+		return pointerRec{}, false
+	}
+	best := 0
+	bestD := cur.mesh.net.Distance(cur.addr, recs[0].serverAddr)
+	for i := 1; i < len(recs); i++ {
+		if d := cur.mesh.net.Distance(cur.addr, recs[i].serverAddr); d < bestD {
+			best, bestD = i, d
+		}
+	}
+	return recs[best], true
 }
 
 // serveHint is a peek walk's continuation at a node whose cache names a
@@ -504,7 +581,7 @@ func (n *Node) expirePointers(now int64) {
 		}
 		st.recs = kept
 		if len(st.recs) == 0 {
-			delete(n.objects, g)
+			n.release(g, st)
 		}
 	}
 	if n.cache != nil {
@@ -546,7 +623,7 @@ func (n *Node) reroutePointers(cost *netsim.Cost, exclude ids.ID, restart, bounc
 	n.mu.Lock()
 	var work []pointerRec
 	for _, g := range sortedGUIDs(n.objects) {
-		recs := n.objects[g].recs
+		recs := n.find(g).recs
 		for i := range recs {
 			if pick(&recs[i]) {
 				work = append(work, recs[i])
@@ -579,7 +656,7 @@ func (n *Node) forwardPointerPath(rec pointerRec, now int64, cost *netsim.Cost, 
 	f.fwd.GUID, f.fwd.Key = rec.guid, rec.key
 	f.fwd.Server, f.fwd.ServerAddr = rec.server, rec.serverAddr
 	w := f.newWalk(stepDeposit, &f.fwd, rec.key, cost)
-	w.level, w.resume = rec.level, true
+	w.level, w.resume = int(rec.level), true
 	w.exclude, w.noBounce = exclude, !bounce
 	w.guid, w.server, w.serverAddr = rec.guid, rec.server, rec.serverAddr
 	w.prevID, w.prevAddr = n.id, n.addr

@@ -14,14 +14,7 @@ import (
 func purgeSaltPath(nodes []*Node, server *Node, guid ids.ID, salt int) {
 	key := server.mesh.cfg.Spec.Salt(guid, salt)
 	for _, nd := range nodes {
-		nd.mu.Lock()
-		if st := nd.objects[guid]; st != nil {
-			st.remove(server.id, key)
-			if len(st.recs) == 0 {
-				delete(nd.objects, guid)
-			}
-		}
-		nd.mu.Unlock()
+		nd.purgePointer(guid, server.id, key)
 	}
 }
 

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"tapestry/internal/ids"
@@ -64,11 +65,11 @@ func BuildStaticWith(net *netsim.Network, cfg Config, parts []Participant, worke
 				peers = append(peers, distPeer{p, net.Distance(owner.addr, p.addr)})
 			}
 		}
-		sort.Slice(peers, func(i, j int) bool {
-			if peers[i].d != peers[j].d {
-				return peers[i].d < peers[j].d
+		slices.SortFunc(peers, func(a, b distPeer) int {
+			if c := cmp.Compare(a.d, b.d); c != 0 {
+				return c
 			}
-			return peers[i].n.id.Less(peers[j].n.id)
+			return a.n.id.Compare(b.n.id)
 		})
 		for _, pr := range peers {
 			cpl := ids.CommonPrefixLen(owner.id, pr.n.id)
@@ -172,11 +173,11 @@ func BuildStaticSampled(net *netsim.Network, cfg Config, parts []Participant, sa
 				if len(cands) == 0 {
 					continue
 				}
-				sort.Slice(cands, func(a, b int) bool {
-					if cands[a].d != cands[b].d {
-						return cands[a].d < cands[b].d
+				slices.SortFunc(cands, func(a, b cand) int {
+					if c := cmp.Compare(a.d, b.d); c != 0 {
+						return c
 					}
-					return nodes[cands[a].idx].id.Less(nodes[cands[b].idx].id)
+					return nodes[a.idx].id.Compare(nodes[b.idx].id)
 				})
 				for _, c := range cands {
 					p := nodes[c.idx]

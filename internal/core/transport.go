@@ -178,6 +178,7 @@ type msgFrames struct {
 	joinResp   wire.JoinSnapshotResp
 	caravan    wire.CaravanStep
 	batch      caravanScratch // republishBatched's buffers; caravan.Recs is a window of its arena
+	sweep      sweepScratch   // SweepDeadAll's verdicts and link snapshot
 	leave      wire.LeaveNotify
 	deleted    wire.NodeDeleted
 	drop       wire.DropLinks

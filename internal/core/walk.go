@@ -108,6 +108,10 @@ type walk struct {
 	// aside is the continuation's operand: the stale trail's last hop, or the
 	// replica a cached hint names.
 	aside route.Entry
+	// st is the pointer-store state arrive found or made at the node whose
+	// lock the driver holds — the hold's one probe, which settle reuses — and
+	// is nil outside that hold (the store's rule: nothing outlives the lock).
+	st *objState
 
 	hops    int          // application-level hops taken
 	res     LocateResult // a peek walk's answer
@@ -184,6 +188,7 @@ func (n *Node) runWalk(f *msgFrames) (*Node, error) {
 		if after != contServe {
 			dec = w.decide(cur, level)
 		}
+		w.st = nil
 		cur.mu.Unlock()
 		arrived = false
 
@@ -267,12 +272,22 @@ func (w *walk) decide(cur *Node, level int) hopDecision {
 }
 
 // settle ends the walk at cur, its terminal: a deposit walk flags the record
-// it just laid as the path's root. A stub-local branch has no root of its own
-// — it is a spur of the wide-area trail that owns the (server, key) record.
-// The caller holds cur.mu.
+// it just laid as the path's root — in the state arrive left in w.st, or,
+// when the walk re-decided here after releasing the lock (a failed hop, a
+// dead pre-insertion surrogate, a re-route's first node), the one a fresh
+// probe finds. A stub-local branch has no root of its own — it is a spur of
+// the wide-area trail that owns the (server, key) record. The caller holds
+// cur.mu.
 func (w *walk) settle(cur *Node) {
-	if w.step == stepDeposit && w.regions == nil {
-		cur.flagRoot(w.guid, w.server, w.key)
+	if w.step != stepDeposit || w.regions != nil {
+		return
+	}
+	st := w.st
+	if st == nil {
+		st = cur.find(w.guid)
+	}
+	if st != nil {
+		st.flagRoot(w.server, w.key)
 	}
 }
 
@@ -282,16 +297,17 @@ func (w *walk) settle(cur *Node) {
 func (w *walk) arrive(cur *Node, level int) cont {
 	switch w.step {
 	case stepDeposit:
-		from, converged := cur.depositOnPath(pointerRec{
+		st, from, converged := cur.depositOnPath(pointerRec{
 			guid:       w.guid,
 			server:     w.server,
 			serverAddr: w.serverAddr,
 			key:        w.key,
 			lastHop:    w.prevID,
 			lastAddr:   w.prevAddr,
-			level:      level,
+			level:      uint8(level),
 			epoch:      w.epoch,
 		}, w.origin)
+		w.st = st
 		w.prevID, w.prevAddr = cur.id, cur.addr
 		// A stub-local branch never tears down: it meets the wide-area trail
 		// of its own record by design.
@@ -300,12 +316,12 @@ func (w *walk) arrive(cur *Node, level int) cont {
 			return contTeardown
 		}
 	case stepRemove:
-		cur.dropLocked(w.guid, w.server, w.key)
+		cur.drop(cur.find(w.guid), w.guid, w.server, w.key)
 	case stepPeek:
 		// Records here make this the walk's last hop (unless every one proves
 		// stale), so no decision is made for it.
-		if st := cur.objects[w.guid]; st != nil && len(st.recs) > 0 {
-			return contServe
+		if cur.find(w.guid) != nil {
+			return contServe // a state in the store holds at least one record
 		}
 		return w.peekCache(cur)
 	}

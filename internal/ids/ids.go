@@ -171,7 +171,10 @@ func splitmix64(x uint64) uint64 {
 }
 
 func (s Spec) fromHash(sum [32]byte) ID {
-	d := make([]Digit, s.Digits)
+	// A Spec has at most 64 digits (Validate): the digits are drawn on the
+	// stack and the ID's string is the call's one allocation.
+	var buf [64]Digit
+	d := buf[:s.Digits]
 	// Consume the hash as a stream of uint16s to keep modulo bias negligible
 	// for bases up to 64.
 	for i := range d {

@@ -14,8 +14,8 @@ import (
 )
 
 // The micro set pins the hot paths the perf PRs optimized: the end-to-end
-// locate, the §4.2 slot search, the per-hop routing decision, and the two
-// halves of a batched maintenance epoch. Fixture sizes match the historical
+// locate and publish/unpublish, the §4.2 slot search, the per-hop routing
+// decision, and the two halves of a batched maintenance epoch. Fixture sizes match the historical
 // `go test -bench` numbers (256-node facade network, 64/128-node core
 // meshes) so BENCH_micro.json stays comparable with the figures quoted in
 // README's Performance section.
@@ -57,6 +57,7 @@ func Benches() []Benchmark {
 	return []Benchmark{
 		{Name: "OpLocate", Setup: setupOpLocate},
 		{Name: "OpLocateMultiRoot", Setup: setupOpLocateMultiRoot},
+		{Name: "OpPublishUnpublish", Setup: setupOpPublishUnpublish},
 		{Name: "NearestForSlot", Setup: setupNearestForSlot},
 		{Name: "NextHop", Setup: setupNextHop},
 		{Name: "SweepDeadEpoch", Setup: setupSweepDeadEpoch},
@@ -124,6 +125,34 @@ func setupOpLocateMultiRoot() func(b *B) {
 			hops += res.Hops
 		}
 		b.ReportMetric(float64(hops)/float64(b.N), "hops/op")
+	}
+}
+
+// OpPublishUnpublish: the facade-level write path on the same settled
+// 256-node network — one op publishes a name from a node and withdraws it
+// again, round-robin over nodes, so every pointer a publish lays along its
+// path is one the matching unpublish releases: the churn the pointer store's
+// free lists exist to absorb.
+func setupOpPublishUnpublish() func(b *B) {
+	nw, err := tapestry.New(tapestry.RingSpace(256*4), tapestry.Defaults())
+	if err != nil {
+		panic(err)
+	}
+	nodes, err := nw.Grow(256)
+	if err != nil {
+		panic(err)
+	}
+	return func(b *B) {
+		msgs := 0
+		for i := 0; i < b.N; i++ {
+			n := nodes[i%len(nodes)]
+			pub, err := n.Publish("bench-object")
+			if err != nil {
+				panic(err)
+			}
+			msgs += pub.Messages + n.Unpublish("bench-object").Messages
+		}
+		b.ReportMetric(float64(msgs)/float64(b.N), "msgs/op")
 	}
 }
 

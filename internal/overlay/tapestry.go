@@ -27,7 +27,7 @@ type tapestry struct {
 type tapHandle struct{ n *core.Node }
 
 func (h tapHandle) Addr() netsim.Addr { return h.n.Addr() }
-func (h tapHandle) Label() string     { return h.n.ID().String() }
+func (h tapHandle) Label() string     { return h.n.Label() }
 
 // CoreMesh exposes the Tapestry adapter's underlying mesh so the facade can
 // offer the Tapestry-only extended surface (multicast, locality queries,
@@ -208,8 +208,18 @@ func (t *tapestry) Locate(h Handle, key string) (Result, *netsim.Cost) {
 	if !res.Found {
 		return Result{}, cost
 	}
-	return Result{Found: true, Server: res.ServerAddr, ServerID: res.Server.String(),
+	return Result{Found: true, Server: res.ServerAddr, ServerID: t.label(res),
 		Hops: res.Hops, FromCache: res.FromCache}, cost
+}
+
+// label names the replica a locate reached. The server vouched for the object
+// a moment ago, so it is nearly always still the node at its address, whose
+// label is already rendered; one that left since is rendered here.
+func (t *tapestry) label(res core.LocateResult) string {
+	if s := t.mesh.NodeAt(res.ServerAddr); s != nil && s.ID().Equal(res.Server) {
+		return s.Label()
+	}
+	return res.Server.String()
 }
 
 // Maintain runs the heartbeat sweep (dead-link repair) followed by one

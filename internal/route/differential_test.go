@@ -448,3 +448,87 @@ func TestBackpointerModel(t *testing.T) {
 		}
 	}
 }
+
+// referenceNextHop is Section 2.3's native surrogate decision written the
+// plain way — every slot of the row visited in surrogate order through
+// SetView, the order computed by modulo — with none of NextHop's shortcuts.
+func referenceNextHop(t *Table, key ids.ID, level int, skip func(Entry) bool) (Entry, int, bool) {
+	for l := level; l < t.Levels(); l++ {
+		var pick *Entry
+		for i := 0; i < t.Base() && pick == nil; i++ {
+			set := t.SetView(l, ids.Digit((int(key.Digit(l))+i)%t.Base()))
+			for j := range set {
+				if skip == nil || !skip(set[j]) {
+					pick = &set[j]
+					break
+				}
+			}
+		}
+		if pick == nil {
+			return Entry{}, 0, true
+		}
+		if !pick.ID.Equal(t.Owner()) {
+			return *pick, l + 1, false
+		}
+	}
+	return Entry{}, 0, true
+}
+
+// TestNextHopMatchesReferenceScan holds NextHop to the reference on random
+// tables — from the owner alone, where every row is the one-entry row the CSR
+// offsets resolve, to crowded — for random keys at every level under each
+// filter shape a walk uses: none, one excluded node, a list of dead ones.
+func TestNextHopMatchesReferenceScan(t *testing.T) {
+	for seed := int64(1); seed <= 24; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		spec := []ids.Spec{spec, {Base: 16, Digits: 6}}[(seed/6)%2]
+		owner := spec.Random(rng)
+		tbl := New(spec, owner, 0, 3)
+		// near draws an ID sharing a random-length prefix with the owner, so
+		// deep rows fill and keys resolve digits by staying put.
+		near := func() ids.ID {
+			digs := make([]ids.Digit, spec.Digits)
+			v := spec.Random(rng)
+			for j, cut := 0, rng.Intn(spec.Digits+1); j < spec.Digits; j++ {
+				if digs[j] = v.Digit(j); j < cut {
+					digs[j] = owner.Digit(j)
+				}
+			}
+			return spec.Make(digs)
+		}
+		var members []ids.ID
+		for i, n := 0, []int{0, 1, 3, 12, 60, 300}[seed%6]; i < n; i++ {
+			e := Entry{ID: near(), Addr: netsim.Addr(i + 1), Distance: float64(rng.Intn(40))}
+			for l := 0; l <= ids.CommonPrefixLen(owner, e.ID) && l < spec.Digits; l++ {
+				tbl.Add(l, e)
+			}
+			members = append(members, e.ID)
+		}
+		if seed%5 == 0 {
+			tbl.Remove(owner) // rows with no entry at all
+		}
+		filters := map[string]func(Entry) bool{"nil": nil}
+		if len(members) > 0 {
+			excluded := members[rng.Intn(len(members))]
+			filters["excluding"] = func(e Entry) bool { return e.ID.Equal(excluded) }
+			dead := map[ids.ID]bool{}
+			for i := 0; i < 1+len(members)/3; i++ {
+				dead[members[rng.Intn(len(members))]] = true
+			}
+			filters["dead-list"] = func(e Entry) bool { return dead[e.ID] }
+		}
+		for q := 0; q < 200; q++ {
+			key := near()
+			for level := 0; level <= spec.Digits; level++ {
+				for name, skip := range filters {
+					gn, gl, gt := tbl.NextHop(key, level, skip)
+					wn, wl, wt := referenceNextHop(tbl, key, level, skip)
+					if gn != wn || gl != wl || gt != wt {
+						t.Fatalf("seed %d key %v level %d filter %s: NextHop = (%v, %d, %v), reference (%v, %d, %v)",
+							seed, key, level, name, gn, gl, gt, wn, wl, wt)
+					}
+				}
+			}
+		}
+	}
+}

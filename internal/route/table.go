@@ -312,24 +312,39 @@ func (t *Table) RangeView(lo, hi int) []Entry {
 // skip hides entries from the decision (an excluded node, peers observed
 // dead, peers outside a region); nil hides nothing and reads every slot in
 // place. Same locking contract as SetView.
+//
+// A row's population is read off the CSR offsets before any slot is: an
+// unfiltered row of one entry — the owner's own, at every level past the
+// depth of its table, which is where a root's terminal decision spends its
+// time — has nothing to order, and an empty row nothing to find.
 func (t *Table) NextHop(key ids.ID, level int, skip func(Entry) bool) (next Entry, nextLevel int, terminal bool) {
 	base := t.spec.Base
 	for l := level; l < t.spec.Digits; l++ {
 		row := l * base
-		want := int(key.Digit(l))
-		found := false
-	scan:
-		for i := 0; i < base; i++ {
-			s := row + (want+i)%base
-			for _, e := range t.ents[t.off[s]:t.off[s+1]] {
-				if skip == nil || !skip(e) {
-					next, found = e, true
-					break scan
+		first, end := int(t.off[row]), int(t.off[row+base])
+		switch {
+		case first == end:
+			return Entry{}, 0, true
+		case end-first == 1 && skip == nil:
+			next = t.ents[first]
+		default:
+			found := false
+			s := row + int(key.Digit(l))
+		scan:
+			for i := 0; i < base; i++ {
+				for _, e := range t.ents[t.off[s]:t.off[s+1]] {
+					if skip == nil || !skip(e) {
+						next, found = e, true
+						break scan
+					}
+				}
+				if s++; s == row+base {
+					s = row // surrogate order wraps past the highest digit
 				}
 			}
-		}
-		if !found {
-			return Entry{}, 0, true
+			if !found {
+				return Entry{}, 0, true
+			}
 		}
 		if !next.ID.Equal(t.owner) {
 			return next, l + 1, false

@@ -395,9 +395,9 @@ func TestSetViewAliasesStorage(t *testing.T) {
 	}
 }
 
-// The benchmarks below quantify the no-copy read path that usableSet (the
-// per-hop routing decision) moved to: Set allocates and copies the slot on
-// every probe, SetView reads in place.
+// The benchmarks below quantify the no-copy read path the per-hop routing
+// decision (NextHop) reads slots through: Set allocates and copies the slot
+// on every probe, SetView reads in place.
 func benchTableFull(b *testing.B) *Table {
 	tb := New(spec, mustParse("0123"), 0, 3)
 	rng := rand.New(rand.NewSource(7))

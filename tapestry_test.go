@@ -2,6 +2,7 @@ package tapestry
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -210,5 +211,34 @@ func TestFacadeLinkFaults(t *testing.T) {
 	cfg.LinkLossRate, cfg.LinkDupRate = 2, 0
 	if _, err := New(RingSpace(64), cfg); err == nil {
 		t.Error("invalid Config.LinkLossRate accepted")
+	}
+}
+
+// TestFacadeLocateAllocationBudget pins what a locate costs above core: the
+// GUID hashed from the name and the Cost the overlay hands back. Core's walk
+// allocates nothing, the server's ID is not rendered again (the node keeps its
+// label), and the digits of the hash are drawn on the stack.
+func TestFacadeLocateAllocationBudget(t *testing.T) {
+	var pool sync.Pool
+	for i, item := 0, new(int); i < 64; i++ {
+		pool.Put(item)
+		if pool.Get() == nil {
+			t.Skip("sync.Pool is dropping items (the race detector does, on purpose): allocation counts would measure that")
+		}
+	}
+	_, nodes := newNet(t, 64)
+	if _, err := nodes[0].Publish("budget"); err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	locate := func() {
+		if res, _ := nodes[i%len(nodes)].Locate("budget"); !res.Found || res.ServerID != nodes[0].ID() {
+			t.Fatalf("locate from %s: %+v", nodes[i%len(nodes)].ID(), res)
+		}
+		i++
+	}
+	locate() // warms the frame pool
+	if n := testing.AllocsPerRun(500, locate); n > 2 {
+		t.Errorf("%v allocs per facade Locate, want at most 2", n)
 	}
 }
