@@ -19,7 +19,6 @@ import (
 	"math"
 	"math/rand"
 	"os"
-	"strings"
 
 	"tapestry"
 	"tapestry/internal/expt"
@@ -27,7 +26,6 @@ import (
 
 func main() {
 	n := flag.Int("n", 256, "number of overlay nodes")
-	protocol := flag.String("protocol", "tapestry", "overlay protocol: tapestry | chord | pastry | can | directory")
 	spaceKind := flag.String("space", "ring", "metric space: ring | torus | cloud | graph | transitstub")
 	objects := flag.Int("objects", 64, "objects to publish (one replica each)")
 	replicas := flag.Int("replicas", 1, "replicas per object")
@@ -40,15 +38,12 @@ func main() {
 	cacheCap := flag.Int("cache-cap", 0, "per-node locate-cache capacity (the serving layer; 0 = off)")
 	seed := flag.Int64("seed", 1, "RNG seed")
 	run := flag.String("run", "", "run registry experiments matching this id/name regexp instead of the ad-hoc workload")
-	quick := flag.Bool("quick", false, "with -run: reduced experiment sizes")
 	workers := flag.Int("workers", 0, "with -run: experiment cells run in parallel (0 = GOMAXPROCS)")
-	format := flag.String("format", "table", "output format: table | json | csv")
-	scalePoints := flag.Int("scale-points", 0, "with -run E-scale: metric-space points of the full churn cell; without -run: transit-stub size override (0 = auto)")
-	scaleNodes := flag.Int("scale-nodes", 0, "with -run E-scale: initial overlay population (0 = params default)")
-	planetNodes := flag.Int("planet-nodes", 0, "with -run E-planet: overlay population of the virtual-time run (0 = params default)")
-	planetObjects := flag.Int("planet-objects", 0, "with -run E-planet: published objects (0 = params default)")
-	chaosN := flag.Int("chaos-n", 0, "with -run E-chaos: overlay population of the scenario suite (0 = params default)")
-	chaosScenario := flag.String("chaos-scenario", "", "with -run E-chaos: comma-separated named scenarios to replay (empty = whole suite)")
+	format := flag.String("format", "table", "with -run: output format: table | json | csv")
+	// The experiment flags configure -run. The ad-hoc workload reads two of
+	// them: -protocol names the one overlay it grows (empty = tapestry) and
+	// -scale-points overrides the transit-stub size (0 = auto).
+	exptFlags := expt.BindFlags(flag.CommandLine)
 	transport := flag.String("transport", "", "message transport backend: direct | loopback | tcp (default: $TAPESTRY_TRANSPORT, then direct)")
 	flag.Parse()
 
@@ -61,9 +56,14 @@ func main() {
 	}
 
 	if *run != "" {
-		runExperiments(*run, *quick, *seed, *workers, *format,
-			*scalePoints, *scaleNodes, *planetNodes, *planetObjects,
-			*chaosN, *chaosScenario)
+		params, err := exptFlags.Params(*workers)
+		if err != nil {
+			fail(err)
+		}
+		runner := expt.Runner{Seed: *seed, Workers: *workers, Params: params}
+		if err := runner.RunAndEmit(os.Stdout, *run, *format); err != nil {
+			fail(err)
+		}
 		return
 	}
 
@@ -83,8 +83,8 @@ func main() {
 		// above metric.DenseLimit points the space is computed on demand, so
 		// tens of thousands of points stay cheap.
 		points := 4 * *n
-		if *scalePoints > 0 {
-			points = *scalePoints
+		if exptFlags.ScalePoints > 0 {
+			points = exptFlags.ScalePoints
 		}
 		space = tapestry.ScaledTransitStubSpace(points, *seed)
 	default:
@@ -92,13 +92,17 @@ func main() {
 		os.Exit(2)
 	}
 
+	protocol := exptFlags.Protocol
+	if protocol == "" {
+		protocol = "tapestry"
+	}
 	proto, ok := map[string]tapestry.Protocol{
 		"tapestry": tapestry.Tapestry, "chord": tapestry.Chord,
 		"pastry": tapestry.Pastry, "can": tapestry.CAN,
 		"directory": tapestry.Directory,
-	}[*protocol]
+	}[protocol]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown protocol %q\n", *protocol)
+		fmt.Fprintf(os.Stderr, "unknown protocol %q\n", protocol)
 		os.Exit(2)
 	}
 
@@ -183,41 +187,6 @@ func main() {
 		found, *queries, hops/float64(found), msgs/float64(found), dist/float64(found))
 	fmt.Printf("final: %s\n", nw.Stats())
 	fmt.Printf("total network messages: %d\n", nw.TotalMessages())
-}
-
-// runExperiments reproduces paper tables through the shared registry engine.
-func runExperiments(pattern string, quick bool, seed int64, workers int, format string,
-	scalePoints, scaleNodes, planetNodes, planetObjects, chaosN int, chaosScenario string) {
-	params := expt.DefaultParams()
-	if quick {
-		params = expt.QuickParams()
-	}
-	if scalePoints > 0 {
-		params.ScalePoints = scalePoints
-	}
-	if scaleNodes > 0 {
-		params.ScaleNodes = scaleNodes
-	}
-	if planetNodes > 0 {
-		params.PlanetNodes = planetNodes
-	}
-	if planetObjects > 0 {
-		params.PlanetObjects = planetObjects
-	}
-	if chaosN > 0 {
-		params.ChaosN = chaosN
-	}
-	if chaosScenario != "" {
-		params.ChaosScenarios = strings.Split(chaosScenario, ",")
-		if err := expt.ValidateScenarios(params.ChaosScenarios); err != nil {
-			fail(err)
-		}
-	}
-	params.PlanetBuildWorkers = workers
-	r := expt.Runner{Seed: seed, Workers: workers, Params: params}
-	if err := r.RunAndEmit(os.Stdout, pattern, format); err != nil {
-		fail(err)
-	}
 }
 
 func fail(err error) {

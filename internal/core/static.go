@@ -28,80 +28,37 @@ type Participant struct {
 // BuildStatic is the oracle the dynamic algorithms are measured against
 // (Section 4: insertion should produce "the same as if we had been able to
 // build the network from static data") and the fast path for standing up
-// large meshes in benchmarks. Construction runs on one worker per CPU; see
-// BuildStaticWith for the determinism contract.
+// large meshes in benchmarks. It is BuildStaticSampled with a sample no
+// bucket exceeds, on one worker per CPU.
 func BuildStatic(net *netsim.Network, cfg Config, parts []Participant) (*Mesh, error) {
-	return BuildStaticWith(net, cfg, parts, 0)
+	return BuildStaticSampled(net, cfg, parts, len(parts), 0)
 }
 
-// BuildStaticWith is BuildStatic with explicit build parallelism (workers
-// <= 0 means one per CPU). The resulting mesh is byte-identical for every
-// workers value: each owner's table fill is a pure function of the immutable
-// participant set (peers are sorted by (distance, ID) and offered in that
-// order, so the R-bounded sets never depend on arrival interleaving), owners
-// are partitioned across workers in contiguous index shards that only write
-// their own tables, and the backpointer registrations each fill produces are
-// applied in a second pass in owner order.
-func BuildStaticWith(net *netsim.Network, cfg Config, parts []Participant, workers int) (*Mesh, error) {
-	m, nodes, err := registerStatic(net, cfg, parts)
-	if err != nil {
-		return nil, err
-	}
-	spec := m.cfg.Spec
-
-	// For each node, sort all others by distance once, then fill every slot
-	// greedily: a node qualifies for (level, digit) slots derived from its
-	// common prefix with the owner.
-	type distPeer struct {
-		n *Node
-		d float64
-	}
-	intents := make([][]backIntent, len(nodes))
-	parallelFor(len(nodes), workers, func(i int) {
-		owner := nodes[i]
-		peers := make([]distPeer, 0, len(nodes)-1)
-		for _, p := range nodes {
-			if p != owner {
-				peers = append(peers, distPeer{p, net.Distance(owner.addr, p.addr)})
-			}
-		}
-		slices.SortFunc(peers, func(a, b distPeer) int {
-			if c := cmp.Compare(a.d, b.d); c != 0 {
-				return c
-			}
-			return a.n.id.Compare(b.n.id)
-		})
-		for _, pr := range peers {
-			cpl := ids.CommonPrefixLen(owner.id, pr.n.id)
-			for l := 0; l <= cpl && l < spec.Digits; l++ {
-				e := route.Entry{ID: pr.n.id, Addr: pr.n.addr, Distance: pr.d}
-				added, _ := owner.table.Add(l, e)
-				if added {
-					intents[i] = append(intents[i], backIntent{peer: pr.n, level: l, d: pr.d})
-				}
-			}
-		}
-	})
-	applyBackIntents(nodes, intents)
-	return m, nil
-}
-
-// BuildStaticSampled constructs a large static mesh approximately. The exact
-// builder sorts all n-1 peers per owner — O(n² log n), prohibitive at 100k
-// nodes — so here each (level, digit) slot instead draws up to `sample`
-// qualifying candidates from the slot's prefix bucket and keeps the R
-// closest, for O(n · digits · base · sample) total work.
+// BuildStaticSampled is the one static constructor. Each (level, digit) slot
+// of each owner draws its candidates from the slot's prefix bucket — the
+// nodes sharing the owner's first `level` digits and carrying `digit` next —
+// and keeps the R closest in (distance, ID) order. A bucket no larger than
+// `sample` is taken whole, so with sample >= len(parts) every slot receives
+// exactly its R closest qualifying nodes (BuildStatic). A larger bucket
+// yields up to `sample` seeded draws instead, for O(n · digits · base ·
+// sample) total work where the exact fill is quadratic — prohibitive at 100k
+// nodes.
 //
-// Property 1 (no false holes) holds exactly: a slot is filled whenever any
-// qualifying node exists, because every non-empty bucket yields at least one
-// candidate. Property 2 (neighbor sets hold the R closest) becomes
-// approximate — the sampled candidates are close-ish, not provably closest —
-// which is the documented price of planetary-scale construction; dynamic
-// joins and the §4.2 repair engine remain exact.
+// Property 1 (no false holes) holds exactly for every sample: a slot is
+// filled whenever any qualifying node exists, because every non-empty bucket
+// yields at least one candidate. Property 2 (neighbor sets hold the R
+// closest) becomes approximate once buckets are sampled — the candidates are
+// close-ish, not provably closest — which is the documented price of
+// planetary-scale construction; dynamic joins and the §4.2 repair engine
+// remain exact.
 //
-// Determinism: candidate draws come from a SplitMix64 stream seeded by
-// (cfg.Seed, owner ID, slot), never by worker identity, so the mesh is
-// byte-identical for every workers value and every host core count.
+// Determinism: each owner's fill is a pure function of the immutable
+// participant set, and candidate draws come from a SplitMix64 stream seeded
+// by (cfg.Seed, owner ID, slot), never by worker identity. Owners are
+// partitioned across workers (<= 0 means one per CPU) in contiguous index
+// shards that only write their own tables, and the backpointer registrations
+// each fill produces are applied in a second pass in owner order, so the
+// mesh is byte-identical for every workers value and every host core count.
 func BuildStaticSampled(net *netsim.Network, cfg Config, parts []Participant, sample, workers int) (*Mesh, error) {
 	m, nodes, err := registerStatic(net, cfg, parts)
 	if err != nil {

@@ -146,20 +146,21 @@ func staticParts(n int, seed int64) (*netsim.Network, []Participant) {
 }
 
 // TestBuildStaticWorkerInvariance pins the parallel-construction contract:
-// the mesh BuildStaticWith produces is byte-identical for every worker
-// count, and identical to what the sequential single-worker fill produces.
+// the exact mesh (a sample no bucket exceeds) is byte-identical for every
+// worker count, and identical to what the sequential single-worker fill
+// produces.
 func TestBuildStaticWorkerInvariance(t *testing.T) {
 	var prints []string
 	for _, workers := range []int{1, 3, 8} {
 		net, parts := staticParts(96, 51)
-		m, err := BuildStaticWith(net, testConfig(), parts, workers)
+		m, err := BuildStaticSampled(net, testConfig(), parts, len(parts), workers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		prints = append(prints, meshFingerprint(m))
 	}
 	if prints[0] != prints[1] || prints[0] != prints[2] {
-		t.Fatal("BuildStaticWith output differs across worker counts")
+		t.Fatal("exact static build differs across worker counts")
 	}
 }
 

@@ -4,10 +4,7 @@ import (
 	"fmt"
 
 	"tapestry/internal/metric"
-	"tapestry/internal/netsim"
-	"tapestry/internal/overlay"
 	"tapestry/internal/scenario"
-	"tapestry/internal/workload"
 )
 
 // E-chaos: the adversarial scenario suite. Where E-faceoff applies
@@ -25,51 +22,10 @@ import (
 // labeled streams of the cell seed, so output is byte-identical for any
 // -workers value (pinned by CI).
 
-// chaosService matches the E-nines per-message receiver service time so the
-// virtual-time regimes are comparable across the two experiments.
-const chaosService = 0.0005
-
-// chaosConfig is one column of the comparison: a registered overlay
-// protocol plus, for Tapestry, the availability knobs. The r=1,k=1 /
-// r=4,k=3 pair brackets the replication tier: the acceptance test pins that
-// the replicated configuration buys strictly more availability under the
+// chaosTiers brackets Tapestry's replication tier: the acceptance test pins
+// that r=4,k=3 buys strictly more availability than r=1,k=1 under the
 // healing-partition scenario.
-type chaosConfig struct {
-	label    string
-	protocol string
-	roots    int // salted roots r (Tapestry only)
-	replicas int // replica servers k (Tapestry only)
-}
-
-// chaosConfigs resolves the protocol selection: nil/empty means every
-// registered protocol (with both Tapestry replication settings), a
-// non-empty list keeps only the named protocols.
-func chaosConfigs(selected []string) []chaosConfig {
-	all := []chaosConfig{
-		{"tapestry r=1 k=1", "tapestry", 1, 1},
-		{"tapestry r=4 k=3", "tapestry", 4, 3},
-	}
-	for _, b := range overlay.Builders() {
-		if b.Name == "tapestry" {
-			continue
-		}
-		all = append(all, chaosConfig{label: b.Name, protocol: b.Name})
-	}
-	if len(selected) == 0 {
-		return all
-	}
-	want := make(map[string]bool, len(selected))
-	for _, s := range selected {
-		want[s] = true
-	}
-	var out []chaosConfig
-	for _, c := range all {
-		if want[c.protocol] {
-			out = append(out, c)
-		}
-	}
-	return out
-}
+var chaosTiers = [][2]int{{1, 1}, {4, 3}}
 
 // ValidateScenarios rejects unknown scenario names up front — a typo'd
 // -chaos-scenario flag must not cost a suite run before panicking mid-cell.
@@ -100,70 +56,31 @@ func runChaosCell(seed int64, t *Table, name string, n, objects, queries, stampe
 	// RegionBlackout kills a stub domain, Partition cuts region-aligned.
 	space := metric.NewTransitStub(
 		metric.ScaledTransitStub(4*(n+reserveN)), subRNG(seed, "topology"))
-	all := pickAddrs(space, n+reserveN, subRNG(seed, "addrs"))
-	base, reserve := all[:n], all[n:]
-	place := workload.UniformPlacement(objects, 1, n, subRNG(seed, "place"))
-	bseed := subSeed(seed, "build")
-	spec := scenario.Spec{Queries: queries, Stampede: stampede}
-
+	s, err := scenario.Named(name, scenario.Spec{Queries: queries, Stampede: stampede})
+	if err != nil {
+		panic(fmt.Sprintf("chaos: %v", err))
+	}
 	var rows []chaosRow
-	for _, cc := range chaosConfigs(protocols) {
-		ocfg := overlay.Config{Seed: bseed, Static: true}
-		if cc.protocol == "tapestry" {
-			tc := defaultTapConfig()
-			tc.Seed = bseed
-			tc.RootSetSize = cc.roots
-			tc.Replicas = cc.replicas
-			// Pointers must survive the few scenario Maintain passes:
-			// the decay under study is fault loss, not TTL expiry.
-			tc.PointerTTL = 4
-			ocfg.Core = &tc
-		}
-		env := buildOverlay(cc.protocol, space, base, ocfg)
-		for i := range place.Names {
-			env.publish(place.Servers[i][0], place.Names[i])
-		}
-
-		// Setup ran in direct-call mode; the engine attaches now and the
-		// whole scenario replays as one virtual-time run.
-		e := netsim.NewEngine(subSeed(seed, "engine"))
-		e.SetServiceTime(chaosService)
-		env.proto.Net().AttachEngine(e)
-
-		s, err := scenario.Named(name, spec)
-		if err != nil {
-			panic(fmt.Sprintf("chaos: %v", err))
-		}
-		drv, err := scenario.NewDriver(env.proto, env.nodes, scenario.Config{
-			Seed:      subSeed(seed, "drive"),
-			Mode:      scenario.EventDriven,
-			Placement: place,
-			Reserve:   reserve,
-		})
-		if err != nil {
-			panic(fmt.Sprintf("chaos: %s: %v", cc.label, err))
-		}
-		reports, err := drv.Run(s)
-		if err != nil {
-			panic(fmt.Sprintf("chaos: %s replay %s: %v", cc.label, name, err))
-		}
-		// The named scenarios end with faults cleared, but guarantee it:
-		// a leftover mask must not leak into a later experiment sharing the
-		// process (they don't share networks, but cheap insurance is cheap).
-		env.proto.Net().ClearFaults()
-
-		for _, r := range reports {
-			t.AddRow(n, name, cc.label, r.Phase, r.Live,
+	replay{
+		space: space, hosts: pickAddrs(space, n+reserveN, subRNG(seed, "addrs")),
+		n: n, objects: objects,
+		// Pointers must survive the few scenario Maintain passes: the decay
+		// under study is fault loss, not TTL expiry.
+		ttl:     4,
+		virtual: true, timeline: s,
+	}.run(seed, systems(protocols, chaosTiers), func(sys system, phases []scenario.PhaseReport) {
+		for _, r := range phases {
+			t.AddRow(n, name, sys.label, r.Phase, r.Live,
 				r.Joins+r.Restores, r.Leaves+r.Crashes, r.Declined, r.Failed,
 				fmt.Sprintf("%d/%d", r.Found, r.Queries),
 				r.MeanHops, r.MeanStretch, r.MaintainMsgs,
 				r.Blocked, r.Lost, r.Duplicated)
 			rows = append(rows, chaosRow{
-				config: cc.label, phase: r.Phase,
+				config: sys.label, phase: r.Phase,
 				queries: r.Queries, found: r.Found,
 			})
 		}
-	}
+	})
 	return rows
 }
 
@@ -194,9 +111,4 @@ func chaosDef(n, objects, queries, stampede int, scenarios, protocols []string) 
 		}})
 	}
 	return d
-}
-
-// Chaos (E-chaos) — serial wrapper over chaosDef.
-func Chaos(n, objects, queries, stampede int, scenarios, protocols []string, seed int64) Table {
-	return chaosDef(n, objects, queries, stampede, scenarios, protocols).Run(seed, 1)
 }

@@ -76,16 +76,19 @@ func TestChaosTwinReplay(t *testing.T) {
 // TestChaosConfigSelection pins the -protocol filter and scenario
 // validation surface used by the CLIs.
 func TestChaosConfigSelection(t *testing.T) {
-	all := chaosConfigs(nil)
+	all := systems(nil, chaosTiers)
 	if len(all) < 6 {
 		t.Fatalf("default configs = %d, want every protocol plus both tapestry tiers: %v", len(all), all)
 	}
-	taps := chaosConfigs([]string{"tapestry"})
+	taps := systems([]string{"tapestry"}, chaosTiers)
 	if len(taps) != 2 {
 		t.Fatalf("tapestry-only selection = %v, want both replication tiers", taps)
 	}
-	if got := chaosConfigs([]string{"chord"}); len(got) != 1 || got[0].protocol != "chord" {
+	if got := systems([]string{"chord"}, chaosTiers); len(got) != 1 || got[0].protocol != "chord" {
 		t.Fatalf("chord-only selection = %v", got)
+	}
+	if got := systems(nil, nil); len(got) != 5 || got[0].label != "tapestry" {
+		t.Fatalf("untiered selection = %v, want one column per protocol", got)
 	}
 	if err := ValidateScenarios([]string{"blackout", "healing-partition"}); err != nil {
 		t.Fatalf("valid scenarios rejected: %v", err)

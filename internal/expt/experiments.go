@@ -18,10 +18,7 @@ import (
 )
 
 // Every experiment below is expressed as a Def — a table skeleton plus
-// independent cells — so the Runner can fan cells across workers. The
-// exported functions (StretchVsDistance, Multicast, ...) are kept as serial
-// wrappers over the same definitions: callers that want one table get
-// exactly what the parallel engine produces for that experiment.
+// independent cells — so the Runner can fan cells across workers.
 
 // stretchVsDistanceDef (E5) measures routing stretch — distance traveled
 // over the distance to the nearest replica — bucketed by client-replica
@@ -93,11 +90,6 @@ func stretchVsDistanceDef(n, objects, queries int) Def {
 	return d
 }
 
-// StretchVsDistance (E5) — serial wrapper over stretchVsDistanceDef.
-func StretchVsDistance(n, objects, queries int, seed int64) Table {
-	return stretchVsDistanceDef(n, objects, queries).Run(seed, 1)
-}
-
 // surrogateOverheadDef (E6) measures the extra hops surrogate routing takes
 // beyond resolving the digits that any node shares with the key — the
 // Section 2.3 claim that the overhead "is independent of n and in
@@ -146,11 +138,6 @@ func surrogateOverheadDef(sizes []int, keys int) Def {
 	return d
 }
 
-// SurrogateOverhead (E6) — serial wrapper over surrogateOverheadDef.
-func SurrogateOverhead(sizes []int, keys int, seed int64) Table {
-	return surrogateOverheadDef(sizes, keys).Run(seed, 1)
-}
-
 // nnCorrectnessDef (E7) sweeps the nearest-neighbor list width k (Section 3,
 // Lemmas 1-2): for each k, grow a mesh dynamically and report the rate of
 // Property 2 violations (slots not holding the R closest nodes) and any
@@ -187,11 +174,6 @@ func nnCorrectnessDef(n int, ks []int) Def {
 	return d
 }
 
-// NNCorrectness (E7) — serial wrapper over nnCorrectnessDef.
-func NNCorrectness(n int, ks []int, seed int64) Table {
-	return nnCorrectnessDef(n, ks).Run(seed, 1)
-}
-
 // multicastDef (E8) measures acknowledged multicast (§4.1, Thm 5): for each
 // prefix length, the nodes reached, messages spent, and the messages-per-
 // node ratio (Theorem 5's O(k) message bound). A single cell: the prefix
@@ -225,11 +207,6 @@ func multicastDef(n int) Def {
 		}
 	}})
 	return d
-}
-
-// Multicast (E8) — serial wrapper over multicastDef.
-func Multicast(n int, seed int64) Table {
-	return multicastDef(n).Run(seed, 1)
 }
 
 // availabilityDuringJoinDef (E9) interleaves queries with node insertions
@@ -284,11 +261,6 @@ func availabilityDuringJoinDef(n, joins int64) Def {
 		t.AddRow(n, joins, ratio.Total, ratio.Total-ratio.Success, ratio.String())
 	}})
 	return d
-}
-
-// AvailabilityDuringJoin (E9) — serial wrapper over availabilityDuringJoinDef.
-func AvailabilityDuringJoin(n, joins, seed int64) Table {
-	return availabilityDuringJoinDef(n, joins).Run(seed, 1)
 }
 
 // parallelJoinDef (E10) inserts batches of nodes concurrently (§4.4, Thm 6)
@@ -385,11 +357,6 @@ func parallelJoinDef(base, waves, batch int) Def {
 	return d
 }
 
-// ParallelJoin (E10) — serial wrapper over parallelJoinDef.
-func ParallelJoin(base, waves, batch int, seed int64) Table {
-	return parallelJoinDef(base, waves, batch).Run(seed, 1)
-}
-
 // deletionDef (E11) exercises Section 5: voluntary departures must preserve
 // availability throughout; involuntary failures lose objects rooted at the
 // corpse until a republish epoch restores them.
@@ -464,11 +431,6 @@ func deletionDef(n int) Def {
 	return d
 }
 
-// Deletion (E11) — serial wrapper over deletionDef.
-func Deletion(n int, seed int64) Table {
-	return deletionDef(n).Run(seed, 1)
-}
-
 // optimizePointersDef (E12) perturbs the mesh with joins, runs the Section
 // 4.2 pointer redistribution, and audits Property 4 before/after.
 func optimizePointersDef(n, extraJoins int) Def {
@@ -529,11 +491,6 @@ func optimizePointersDef(n, extraJoins int) Def {
 		t.AddRow("after OptimizeObjectPtrs", len(m.AuditProperty4()), success())
 	}})
 	return d
-}
-
-// OptimizePointers (E12) — serial wrapper over optimizePointersDef.
-func OptimizePointers(n, extraJoins int, seed int64) Table {
-	return optimizePointersDef(n, extraJoins).Run(seed, 1)
 }
 
 // stubLocalityDef (E13) reproduces the Section 6.3 experiment: on a transit-
@@ -633,11 +590,6 @@ func stubLocalityDef() Def {
 	return d
 }
 
-// StubLocality (E13) — serial wrapper over stubLocalityDef.
-func StubLocality(seed int64) Table {
-	return stubLocalityDef().Run(seed, 1)
-}
-
 // generalMetricDef (E14) evaluates the Section 7 scheme (PRR v.0 row of
 // Table 1) on a non-growth-restricted random-graph metric: measured stretch
 // percentiles against the log³n budget, and per-node space against log²n.
@@ -684,11 +636,6 @@ func generalMetricDef(sizes []int) Def {
 		}})
 	}
 	return d
-}
-
-// GeneralMetric (E14) — serial wrapper over generalMetricDef.
-func GeneralMetric(sizes []int, seed int64) Table {
-	return generalMetricDef(sizes).Run(seed, 1)
 }
 
 // multiRootDef (E15) measures Observation 1: with |R_ψ| salted roots,
@@ -747,11 +694,6 @@ func multiRootDef(n int, rootSets []int, failFrac float64) Def {
 	return d
 }
 
-// MultiRoot (E15) — serial wrapper over multiRootDef.
-func MultiRoot(n int, rootSets []int, failFrac float64, seed int64) Table {
-	return multiRootDef(n, rootSets, failFrac).Run(seed, 1)
-}
-
 // ablationSurrogateDef (A1) compares the two localized routing variants of
 // §2.3. One cell per variant.
 func ablationSurrogateDef(n int) Def {
@@ -789,11 +731,6 @@ func ablationSurrogateDef(n int) Def {
 		}})
 	}
 	return d
-}
-
-// AblationSurrogate (A1) — serial wrapper over ablationSurrogateDef.
-func AblationSurrogate(n int, seed int64) Table {
-	return ablationSurrogateDef(n).Run(seed, 1)
 }
 
 // ablationRDef (A2) sweeps the neighbor-set capacity R (fault tolerance vs
@@ -845,11 +782,6 @@ func ablationRDef(n int, rs []int) Def {
 	return d
 }
 
-// AblationR (A2) — serial wrapper over ablationRDef.
-func AblationR(n int, rs []int, seed int64) Table {
-	return ablationRDef(n, rs).Run(seed, 1)
-}
-
 // ablationBaseDef (A3) sweeps the digit radix b: wider tables vs shorter
 // paths. One cell per base.
 func ablationBaseDef(n int, bases []int) Def {
@@ -886,11 +818,6 @@ func ablationBaseDef(n int, bases []int) Def {
 		}})
 	}
 	return d
-}
-
-// AblationBase (A3) — serial wrapper over ablationBaseDef.
-func AblationBase(n int, bases []int, seed int64) Table {
-	return ablationBaseDef(n, bases).Run(seed, 1)
 }
 
 // digitsFor keeps the namespace around 2^32 regardless of base.
@@ -938,9 +865,4 @@ func metricExpansionDef() Def {
 		}})
 	}
 	return d
-}
-
-// MetricExpansion (E0) — serial wrapper over metricExpansionDef.
-func MetricExpansion(seed int64) Table {
-	return metricExpansionDef().Run(seed, 1)
 }

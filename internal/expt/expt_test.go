@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -19,6 +20,18 @@ func cell(t *testing.T, tab Table, row, col int) float64 {
 	return v
 }
 
+// percent parses the parenthesized percentage of a rendered stats.Ratio,
+// "116/128 (90.62%)".
+func percent(t *testing.T, s string) float64 {
+	t.Helper()
+	open := strings.Index(s, "(")
+	v, err := strconv.ParseFloat(strings.TrimSuffix(s[open+1:], "%)"), 64)
+	if open < 0 || err != nil {
+		t.Fatalf("parse ratio %q: %v", s, err)
+	}
+	return v
+}
+
 func TestTableFormatting(t *testing.T) {
 	tab := Table{Title: "T", Note: "n", Header: []string{"a", "bb"}}
 	tab.AddRow(1, 2.5)
@@ -32,7 +45,7 @@ func TestTableFormatting(t *testing.T) {
 }
 
 func TestTable1HopsShape(t *testing.T) {
-	tab := Table1Hops([]int{32, 128}, 128, 1)
+	tab := table1HopsDef([]int{32, 128}, 128).Run(1, 1)
 	if len(tab.Rows) != 2 {
 		t.Fatalf("rows: %d", len(tab.Rows))
 	}
@@ -49,7 +62,7 @@ func TestTable1HopsShape(t *testing.T) {
 }
 
 func TestTable1SpaceShape(t *testing.T) {
-	tab := Table1Space([]int{32, 128}, 2)
+	tab := table1SpaceDef([]int{32, 128}).Run(2, 1)
 	// Tapestry per-node state is far below n (it is Θ(log n)).
 	if got := cell(t, tab, 1, 1); got > 128 {
 		t.Errorf("tapestry space %g at n=128 is not logarithmic\n%s", got, tab)
@@ -62,7 +75,7 @@ func TestTable1SpaceShape(t *testing.T) {
 }
 
 func TestTable1InsertCostShape(t *testing.T) {
-	tab := Table1InsertCost([]int{32, 128}, 3)
+	tab := table1InsertCostDef([]int{32, 128}).Run(3, 1)
 	for row := 0; row < 2; row++ {
 		n := cell(t, tab, row, 0)
 		tap := cell(t, tab, row, 1)
@@ -77,7 +90,7 @@ func TestTable1InsertCostShape(t *testing.T) {
 }
 
 func TestTable1BalanceShape(t *testing.T) {
-	tab := Table1Balance(64, 256, 4)
+	tab := table1BalanceDef(64, 256).Run(4, 1)
 	if len(tab.Rows) != 3 {
 		t.Fatal("expected 3 rows")
 	}
@@ -90,7 +103,7 @@ func TestTable1BalanceShape(t *testing.T) {
 }
 
 func TestStretchVsDistanceShape(t *testing.T) {
-	tab := StretchVsDistance(96, 48, 512, 5)
+	tab := stretchVsDistanceDef(96, 48, 512).Run(5, 1)
 	if len(tab.Rows) < 5 {
 		t.Fatalf("too few populated deciles:\n%s", tab)
 	}
@@ -104,7 +117,7 @@ func TestStretchVsDistanceShape(t *testing.T) {
 }
 
 func TestSurrogateOverheadShape(t *testing.T) {
-	tab := SurrogateOverhead([]int{32, 128}, 128, 6)
+	tab := surrogateOverheadDef([]int{32, 128}, 128).Run(6, 1)
 	for row := range tab.Rows {
 		if extra := cell(t, tab, row, 3); extra > 3 {
 			t.Errorf("mean surrogate overhead %g exceeds the <2 expectation\n%s", extra, tab)
@@ -113,7 +126,7 @@ func TestSurrogateOverheadShape(t *testing.T) {
 }
 
 func TestNNCorrectnessShape(t *testing.T) {
-	tab := NNCorrectness(48, []int{2, 48}, 7)
+	tab := nnCorrectnessDef(48, []int{2, 48}).Run(7, 1)
 	// Full k must be exact; tiny k is allowed violations but the table must
 	// show improvement.
 	small := cell(t, tab, 0, 1)
@@ -130,7 +143,7 @@ func TestNNCorrectnessShape(t *testing.T) {
 }
 
 func TestMulticastShape(t *testing.T) {
-	tab := Multicast(64, 8)
+	tab := multicastDef(64).Run(8, 1)
 	// Messages per reached node stays O(1) — bound the ratio.
 	for row := range tab.Rows {
 		if ratio := cell(t, tab, row, 4); ratio > 8 {
@@ -140,14 +153,14 @@ func TestMulticastShape(t *testing.T) {
 }
 
 func TestAvailabilityDuringJoinShape(t *testing.T) {
-	tab := AvailabilityDuringJoin(24, 12, 9)
+	tab := availabilityDuringJoinDef(24, 12).Run(9, 1)
 	if fails := cell(t, tab, 0, 3); fails != 0 {
 		t.Errorf("availability failures during join: %g\n%s", fails, tab)
 	}
 }
 
 func TestParallelJoinShape(t *testing.T) {
-	tab := ParallelJoin(12, 3, 6, 10)
+	tab := parallelJoinDef(12, 3, 6).Run(10, 1)
 	for row := range tab.Rows {
 		if v := cell(t, tab, row, 2); v != 0 {
 			t.Errorf("P1 violations after parallel join wave %d: %g\n%s", row+1, v, tab)
@@ -162,7 +175,7 @@ func TestParallelJoinShape(t *testing.T) {
 }
 
 func TestDeletionShape(t *testing.T) {
-	tab := Deletion(48, 11)
+	tab := deletionDef(48).Run(11, 1)
 	if len(tab.Rows) != 4 {
 		t.Fatalf("expected 4 phases:\n%s", tab)
 	}
@@ -175,7 +188,7 @@ func TestDeletionShape(t *testing.T) {
 }
 
 func TestOptimizePointersShape(t *testing.T) {
-	tab := OptimizePointers(32, 8, 12)
+	tab := optimizePointersDef(32, 8).Run(12, 1)
 	last := tab.Rows[len(tab.Rows)-1]
 	if last[1] != "0" {
 		t.Errorf("P4 violations after optimization: %s\n%s", last[1], tab)
@@ -188,7 +201,7 @@ func TestOptimizePointersShape(t *testing.T) {
 }
 
 func TestStubLocalityShape(t *testing.T) {
-	tab := StubLocality(13)
+	tab := stubLocalityDef().Run(13, 1)
 	if len(tab.Rows) != 2 {
 		t.Fatal("expected 2 variants")
 	}
@@ -204,7 +217,7 @@ func TestStubLocalityShape(t *testing.T) {
 }
 
 func TestGeneralMetricShape(t *testing.T) {
-	tab := GeneralMetric([]int{64, 128}, 14)
+	tab := generalMetricDef([]int{64, 128}).Run(14, 1)
 	for row := range tab.Rows {
 		if got, budget := cell(t, tab, row, 3), cell(t, tab, row, 4); got > 3*budget {
 			t.Errorf("max stretch %g above 3·log³n=%g\n%s", got, budget, tab)
@@ -213,16 +226,8 @@ func TestGeneralMetricShape(t *testing.T) {
 }
 
 func TestMultiRootShape(t *testing.T) {
-	tab := MultiRoot(64, []int{1, 4}, 0.15, 15)
-	parse := func(row int) float64 {
-		s := tab.Rows[row][3]
-		open := strings.Index(s, "(")
-		v, err := strconv.ParseFloat(strings.TrimSuffix(s[open+1:], "%)"), 64)
-		if err != nil {
-			t.Fatalf("parse %q: %v", s, err)
-		}
-		return v
-	}
+	tab := multiRootDef(64, []int{1, 4}, 0.15).Run(15, 1)
+	parse := func(row int) float64 { return percent(t, tab.Rows[row][3]) }
 	if parse(1) < parse(0) {
 		t.Errorf("more roots should not reduce availability:\n%s", tab)
 	}
@@ -232,13 +237,13 @@ func TestMultiRootShape(t *testing.T) {
 }
 
 func TestAblationsRun(t *testing.T) {
-	if tab := AblationSurrogate(48, 16); len(tab.Rows) != 2 {
+	if tab := ablationSurrogateDef(48).Run(16, 1); len(tab.Rows) != 2 {
 		t.Errorf("surrogate ablation rows: %d", len(tab.Rows))
 	}
-	if tab := AblationR(48, []int{2, 4}, 17); len(tab.Rows) != 2 {
+	if tab := ablationRDef(48, []int{2, 4}).Run(17, 1); len(tab.Rows) != 2 {
 		t.Errorf("R ablation rows: %d", len(tab.Rows))
 	}
-	tab := AblationBase(48, []int{4, 16}, 18)
+	tab := ablationBaseDef(48, []int{4, 16}).Run(18, 1)
 	if len(tab.Rows) != 2 {
 		t.Fatalf("base ablation rows: %d", len(tab.Rows))
 	}
@@ -249,7 +254,7 @@ func TestAblationsRun(t *testing.T) {
 }
 
 func TestContinualOptimizationShape(t *testing.T) {
-	tab := ContinualOptimization(48, 20)
+	tab := continualOptimizationDef(48).Run(20, 1)
 	if len(tab.Rows) != 5 {
 		t.Fatalf("expected 5 stages:\n%s", tab)
 	}
@@ -278,7 +283,7 @@ func TestContinualOptimizationShape(t *testing.T) {
 }
 
 func TestMetricExpansionShape(t *testing.T) {
-	tab := MetricExpansion(19)
+	tab := metricExpansionDef().Run(19, 1)
 	if len(tab.Rows) != 5 {
 		t.Fatalf("expected 5 spaces:\n%s", tab)
 	}
@@ -287,5 +292,82 @@ func TestMetricExpansionShape(t *testing.T) {
 		if tab.Rows[row][4] != "yes" {
 			t.Errorf("space %s should satisfy b > c²:\n%s", tab.Rows[row][0], tab)
 		}
+	}
+}
+
+// TestFaceoffShape pins the story E-faceoff tells, per cell: everything is
+// located, Tapestry's locality beats the locality-blind DHTs on stretch, the
+// directory is hop-optimal with the worst load concentration, and static
+// Pastry declines the whole timeline.
+func TestFaceoffShape(t *testing.T) {
+	const epochs = 2
+	tab := faceoffDef(96, 32, epochs, 512, nil).Run(7, 1)
+	if len(tab.Rows) != 10 {
+		t.Fatalf("rows: %d, want two cells of five protocols\n%s", len(tab.Rows), tab)
+	}
+	const tapestry, chord, pastry, can, directory = 0, 1, 2, 3, 4
+	for base := 0; base < 10; base += 5 {
+		for p, name := range []string{"tapestry", "chord", "pastry", "can", "directory"} {
+			row := tab.Rows[base+p]
+			if row[1] != name {
+				t.Fatalf("row %d is %q, want %q\n%s", base+p, row[1], name, tab)
+			}
+			if percent(t, row[7]) != 100 {
+				t.Errorf("%s located %s, want everything\n%s", name, row[7], tab)
+			}
+			if p != directory && cell(t, tab, base+p, 10) >= cell(t, tab, base+directory, 10) {
+				t.Errorf("%s load max/mean not below the directory's\n%s", name, tab)
+			}
+		}
+		for _, dht := range []int{chord, can} {
+			if cell(t, tab, base+tapestry, 9) >= cell(t, tab, base+dht, 9) {
+				t.Errorf("tapestry stretch not below %s's\n%s", tab.Rows[base+dht][1], tab)
+			}
+		}
+		if hops := cell(t, tab, base+directory, 8); hops != 2 {
+			t.Errorf("directory mean hops %g, want exactly 2\n%s", hops, tab)
+		}
+		// Tapestry applies every churn op and maintenance pass; Pastry must
+		// have declined exactly those. (Columns: 3 joins, 4 leaves, 5 crashes,
+		// 6 declined.)
+		applied := cell(t, tab, base+tapestry, 3) + cell(t, tab, base+tapestry, 4) + cell(t, tab, base+tapestry, 5)
+		if applied == 0 {
+			t.Fatalf("no churn applied; the timeline exercises nothing\n%s", tab)
+		}
+		for col := 3; col <= 5; col++ {
+			if cell(t, tab, base+pastry, col) != 0 {
+				t.Errorf("static pastry changed membership\n%s", tab)
+			}
+		}
+		if got := cell(t, tab, base+pastry, 6); got != applied+epochs {
+			t.Errorf("pastry declined %g operations, want %g churn ops + %d maintenance passes\n%s",
+				got, applied, epochs, tab)
+		}
+	}
+}
+
+// TestScaleChurnShape pins E-scale: one row per (cell, epoch), availability
+// decaying with lost single-replica objects but staying high, and Thm 2's
+// O(log n) hops on the churned mesh.
+func TestScaleChurnShape(t *testing.T) {
+	const epochs = 3
+	tab := scaleChurnDef(2600, 96, epochs, 128).Run(3, 1)
+	if len(tab.Rows) != 2*epochs {
+		t.Fatalf("rows: %d, want %d\n%s", len(tab.Rows), 2*epochs, tab)
+	}
+	for i, row := range tab.Rows {
+		if want := strconv.Itoa(i%epochs + 1); row[1] != want {
+			t.Errorf("row %d is epoch %s, want %s\n%s", i, row[1], want, tab)
+		}
+		if a := percent(t, row[7]); a <= 80 || a > 100 {
+			t.Errorf("row %d: availability %g%% outside (80, 100]\n%s", i, a, tab)
+		}
+		live := cell(t, tab, i, 2)
+		if hops, bound := cell(t, tab, i, 8), math.Log(live)/math.Log(16)+2; hops > bound {
+			t.Errorf("row %d: mean hops %g above log16(%g)+2 = %.2f\n%s", i, hops, live, bound, tab)
+		}
+	}
+	if tab.Rows[0][0] == tab.Rows[epochs][0] {
+		t.Errorf("both cells ran at %s points\n%s", tab.Rows[0][0], tab)
 	}
 }

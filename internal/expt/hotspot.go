@@ -209,8 +209,3 @@ func hotspotDef(n, objects, queries int) Def {
 	}
 	return d
 }
-
-// Hotspot (E-hotspot) — serial wrapper over hotspotDef.
-func Hotspot(n, objects, queries int, seed int64) Table {
-	return hotspotDef(n, objects, queries).Run(seed, 1)
-}

@@ -54,8 +54,8 @@ func TestHotspotAcceptance(t *testing.T) {
 // to one that never heard of the serving layer — the E-hotspot cache-off row
 // doubles as that oracle, byte-compared here against a fresh run.
 func TestHotspotCacheOffTwinIsByteIdenticalToDefault(t *testing.T) {
-	a := Hotspot(96, 48, 512, 11).String()
-	b := Hotspot(96, 48, 512, 11).String()
+	a := hotspotDef(96, 48, 512).Run(11, 1).String()
+	b := hotspotDef(96, 48, 512).Run(11, 1).String()
 	if a != b {
 		t.Fatalf("E-hotspot not deterministic:\n%s\nvs\n%s", a, b)
 	}

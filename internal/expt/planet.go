@@ -17,10 +17,9 @@ import (
 var planetSpec = ids.Spec{Base: 16, Digits: 7}
 
 const (
-	planetSample   = 8      // candidates drawn per slot by the sampled builder
-	planetEpochLen = 100.0  // virtual-time units per epoch
-	planetService  = 0.0005 // per-message receiver service time (inbound queue)
-	planetMaintDiv = 64     // nodes/planetMaintDiv maintenance ops per epoch
+	planetSample   = 8     // candidates drawn per slot by the sampled builder
+	planetEpochLen = 100.0 // virtual-time units per epoch
+	planetMaintDiv = 64    // nodes/planetMaintDiv maintenance ops per epoch
 )
 
 // planetDef (E-planet) is the planetary-scale scenario the discrete-event
@@ -39,6 +38,16 @@ const (
 // event clock at its first and last message (netsim.Cost.VirtualLatency), so
 // the percentiles reflect metric-space distances plus inbound-queue waits,
 // not host wall-clock.
+//
+// This is the one churn experiment that does not replay a scenario timeline
+// on scenario.Driver (replay.go), for three reasons. Its 100k-node mesh needs
+// core.BuildStaticSampled with a real sample, which overlay.Protocol's Build
+// does not offer. Its maintenance is per node and staggered across the epoch,
+// where the Driver's Maintain is one protocol-wide pass. And its joins,
+// leaves and crashes must interleave with one another in virtual time, which
+// the Driver's single control operation cannot do: the overlay adapters hold
+// their membership lock across parks, so it runs membership events one at a
+// time.
 func planetDef(nodes, objects, epochs, queries, buildWorkers int) Def {
 	d := Def{
 		Name: "Planet",
@@ -56,11 +65,6 @@ func planetDef(nodes, objects, epochs, queries, buildWorkers int) Def {
 		},
 	})
 	return d
-}
-
-// Planet (E-planet) — serial wrapper over planetDef.
-func Planet(nodes, objects, epochs, queries int, seed int64) Table {
-	return planetDef(nodes, objects, epochs, queries, 0).Run(seed, 1)
 }
 
 func runPlanetCell(seed int64, t *Table, baseNodes, objects, epochs, queries, buildWorkers int) {
@@ -100,7 +104,7 @@ func runPlanetCell(seed int64, t *Table, baseNodes, objects, epochs, queries, bu
 	}
 
 	e := netsim.NewEngine(subSeed(seed, "engine"))
-	e.SetServiceTime(planetService)
+	e.SetServiceTime(virtualService)
 	net.AttachEngine(e)
 
 	// Per-epoch accumulators, attributed by scheduling epoch and written only

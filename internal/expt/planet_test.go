@@ -24,7 +24,7 @@ func TestPlanetTwinReplayAndWorkerInvariance(t *testing.T) {
 // availability stays high (the overlay repairs through churn), and the
 // virtual clock snapshots land on the epoch boundaries.
 func TestPlanetAcceptance(t *testing.T) {
-	tbl := Planet(600, 4000, 2, 128, 9)
+	tbl := planetDef(600, 4000, 2, 128, 0).Run(9, 1)
 	if len(tbl.Rows) != 2 {
 		t.Fatalf("%d rows, want 2:\n%s", len(tbl.Rows), tbl.String())
 	}

@@ -170,11 +170,11 @@ func QuickParams() Params {
 }
 
 // Experiment is one registered evaluation: a stable ID (the E/A numbering
-// used throughout EXPERIMENTS.md), a name (keyed into per-cell seed
+// the README and the CLIs' -run use), a name (keyed into per-cell seed
 // derivation, so renaming an experiment deliberately reshuffles its
 // streams), and a definition builder binding Params to concrete cells.
 type Experiment struct {
-	ID   string // "E0".."E16", "A1".."A3"
+	ID   string // "E0".."E16", "E-scale".."E-chaos", "A1".."A3"
 	Name string
 	Make func(p Params) Def
 }

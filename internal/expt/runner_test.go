@@ -126,20 +126,6 @@ func TestCellSeedsDistinct(t *testing.T) {
 	}
 }
 
-// TestSerialWrappersMatchEngine pins the compatibility contract: the
-// exported per-experiment functions must return exactly what the engine
-// produces for the same definition.
-func TestSerialWrappersMatchEngine(t *testing.T) {
-	if got, want := SurrogateOverhead([]int{32}, 32, 9).String(),
-		surrogateOverheadDef([]int{32}, 32).Run(9, 4).String(); got != want {
-		t.Errorf("SurrogateOverhead wrapper diverged from engine:\n%s\nvs\n%s", got, want)
-	}
-	if got, want := MetricExpansion(3).String(),
-		metricExpansionDef().Run(3, 4).String(); got != want {
-		t.Errorf("MetricExpansion wrapper diverged from engine:\n%s\nvs\n%s", got, want)
-	}
-}
-
 // TestStreamOrderAndPooling checks that the shared pool emits results in
 // presentation order with content identical to per-experiment runs.
 func TestStreamOrderAndPooling(t *testing.T) {

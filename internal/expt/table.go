@@ -9,10 +9,9 @@
 // The registry (Experiments, Match) lets CLIs select experiment subsets by
 // ID or name regexp; emit.go renders results as text, JSON or CSV.
 //
-// The exported one-call-per-experiment functions (Table1Hops, Multicast, …)
-// remain as serial wrappers over the same definitions where this package's
-// tests call them, so tests, the CLIs and EXPERIMENTS.md all share exactly
-// one implementation of every paper-facing number.
+// There is one entry point per number: a definition's Run (or the Runner
+// over the registry). The tests, the CLIs and the README's sample tables all
+// go through it.
 package expt
 
 import (

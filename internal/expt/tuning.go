@@ -82,8 +82,3 @@ func continualOptimizationDef(n int) Def {
 	}})
 	return d
 }
-
-// ContinualOptimization (E16) — serial wrapper over continualOptimizationDef.
-func ContinualOptimization(n int, seed int64) Table {
-	return continualOptimizationDef(n).Run(seed, 1)
-}

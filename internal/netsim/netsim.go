@@ -604,6 +604,19 @@ func (n *Network) LoadAt(a Addr) int64 {
 	return n.load[a].Load()
 }
 
+// Loads returns a snapshot of the counters LoadAt reads, indexed by address,
+// or nil when load tracking is off.
+func (n *Network) Loads() []int64 {
+	if n.load == nil {
+		return nil
+	}
+	out := make([]int64, len(n.load))
+	for i := range n.load {
+		out[i] = n.load[i].Load()
+	}
+	return out
+}
+
 // Epoch returns the current virtual time.
 func (n *Network) Epoch() int64 { return n.epoch.Load() }
 

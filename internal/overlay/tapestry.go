@@ -90,7 +90,7 @@ func (t *tapestry) Build(addrs []netsim.Addr) ([]Handle, []int, error) {
 	}
 	if t.stat {
 		parts := core.StaticParticipants(t.cfg.Spec, addrs, t.rng)
-		m, err := core.BuildStaticWith(t.net, t.cfg, parts, t.cfg.BuildWorkers)
+		m, err := core.BuildStaticSampled(t.net, t.cfg, parts, len(parts), t.cfg.BuildWorkers)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -13,25 +13,12 @@ import (
 	"tapestry/internal/workload"
 )
 
-// Mode selects the Driver's execution backend.
-type Mode int
-
 const (
-	// Direct replays the timeline serially in time order with synchronous
-	// RPCs — no virtual clock, every event completes before the next starts.
-	Direct Mode = iota
-	// EventDriven replays under the network's attached virtual-time engine:
-	// query storms spread over a window as individual interleaving
-	// operations (the E-nines regime) while membership, fault and
-	// maintenance events run serialized on one control operation — adapters
-	// hold their membership lock across parks, so two overlapping
-	// membership ops would deadlock the one-at-a-time scheduler. The
-	// control op joins on each storm before advancing: virtual latency can
-	// stretch a storm far past its scheduled window (a partition parks
-	// every blocked send until timeout), and a Heal firing by wall position
-	// while the partitioned phase's queries were still in flight would
-	// dissolve the condition mid-measurement.
-	EventDriven
+	// zipfS is the background query skew exponent of every storm.
+	zipfS = 1.2
+	// querySpread is the virtual-time window a storm's queries spread over
+	// under an engine.
+	querySpread = 5.0
 )
 
 // Config parameterizes a Driver.
@@ -39,7 +26,6 @@ type Config struct {
 	// Seed drives every binding the driver makes (region picks, partition
 	// cuts, query mixes, churn); identical seeds replay exactly.
 	Seed int64
-	Mode Mode
 	// Placement names the published objects and their origin servers as
 	// indices into the Build membership, exactly as the caller published
 	// them. Restores republish from it.
@@ -47,13 +33,6 @@ type Config struct {
 	// Reserve is the address pool joins (stampedes, churn, restores beyond
 	// the original address) draw from; an exhausted pool fails the join.
 	Reserve []netsim.Addr
-	// Zipf is the background query skew exponent (0 = 1.2).
-	Zipf float64
-	// MinPopulation floors Churn-event departures (0 = max(2, initial/4)).
-	MinPopulation int
-	// QuerySpread is the virtual-time window a storm's queries spread over
-	// in EventDriven mode (0 = 5 units). Ignored in Direct mode.
-	QuerySpread float64
 }
 
 // PhaseReport is the Driver's measurement for one Phase window.
@@ -73,6 +52,14 @@ type PhaseReport struct {
 	Found       int
 	MeanHops    float64 // over found queries
 	MeanStretch float64 // cost distance / direct distance, over found queries
+	// VLat summarizes Cost.VirtualLatency over found queries: all zeros
+	// without an engine, virtual-time locate latency under one.
+	VLat stats.Summary
+	// StormLoad counts the messages addressed to each address during the
+	// phase's storms, on a network that tracks load (nil otherwise). Every
+	// member live at a storm has an entry, idle ones at zero; so does any
+	// other address that received traffic (a directory's server).
+	StormLoad map[netsim.Addr]int64
 
 	MaintainMsgs int64 // messages charged to Maintain passes
 
@@ -80,10 +67,26 @@ type PhaseReport struct {
 	Blocked, Lost, Duplicated int64
 }
 
-// Driver replays scenarios against one overlay.Protocol instance. Like the
-// E-faceoff harness it is caps-gated: events a protocol cannot honor are
-// counted as declined, never panicking — adversarial scenarios make
-// operations fail, and failing is data here.
+// Driver replays scenarios against one overlay.Protocol instance. It is
+// caps-gated: events a protocol cannot honor are counted as declined, never
+// panicking — adversarial scenarios make operations fail, and failing is data
+// here.
+//
+// The network decides the backend. Without an engine the timeline replays
+// serially in time order with synchronous RPCs: no virtual clock, every event
+// completes before the next starts. With one attached it replays in virtual
+// time: query storms spread over a window as individual interleaving
+// operations (the E-nines regime) while membership, fault and maintenance
+// events run serialized on one control operation — adapters hold their
+// membership lock across parks, so two overlapping membership ops would
+// deadlock the one-at-a-time scheduler. The control op joins on each storm
+// before advancing: virtual latency can stretch a storm far past its
+// scheduled window (a partition parks every blocked send until timeout), and
+// a Heal firing by wall position while the partitioned phase's queries were
+// still in flight would dissolve the condition mid-measurement. Event times
+// are therefore lower bounds (the op sleeps to them when ahead, proceeds
+// immediately when virtual time has already passed them), and phases are
+// causal eras, not wall windows.
 //
 // A Driver is single-use per Run and not safe for concurrent Runs.
 type Driver struct {
@@ -98,7 +101,7 @@ type Driver struct {
 
 	regionOrder []int                 // seeded shuffle of the space's region labels
 	blackouts   map[int][]netsim.Addr // blackout pick -> crashed addresses
-	minPop      int
+	minPop      int                   // floor under Churn-event departures
 
 	reports []PhaseReport
 	cur     PhaseReport
@@ -116,12 +119,6 @@ func NewDriver(p overlay.Protocol, members []overlay.Handle, cfg Config) (*Drive
 	if len(members) == 0 {
 		return nil, errors.New("scenario: driver needs at least one member")
 	}
-	if cfg.Zipf == 0 {
-		cfg.Zipf = 1.2
-	}
-	if cfg.QuerySpread == 0 {
-		cfg.QuerySpread = 5
-	}
 	d := &Driver{
 		proto:     p,
 		net:       p.Net(),
@@ -131,13 +128,7 @@ func NewDriver(p overlay.Protocol, members []overlay.Handle, cfg Config) (*Drive
 		members:   append([]overlay.Handle(nil), members...),
 		origin:    map[netsim.Addr][]int{},
 		blackouts: map[int][]netsim.Addr{},
-		minPop:    cfg.MinPopulation,
-	}
-	if d.minPop == 0 {
-		d.minPop = len(members) / 4
-		if d.minPop < 2 {
-			d.minPop = 2
-		}
+		minPop:    max(2, len(members)/4),
 	}
 	for obj, servers := range cfg.Placement.Servers {
 		if len(servers) == 0 {
@@ -166,71 +157,73 @@ func (d *Driver) Run(s Scenario) ([]PhaseReport, error) {
 	}
 	d.reports, d.open = nil, false
 	d.prevNet = d.net.Stats()
-	switch d.cfg.Mode {
-	case Direct:
+	if e := d.net.Engine(); e != nil {
+		e.At(0, func() {
+			for i, te := range s.Events {
+				if dt := te.At - e.Now(); dt > 0 {
+					e.Sleep(dt)
+				}
+				d.exec(te.Ev, i)
+			}
+		})
+		e.Run()
+	} else {
 		for i, te := range s.Events {
 			d.exec(te.Ev, i)
 		}
-	case EventDriven:
-		e := d.net.Engine()
-		if e == nil {
-			return nil, errors.New("scenario: EventDriven mode needs an engine attached to the network")
-		}
-		d.schedule(e, s)
-		e.Run()
-	default:
-		return nil, fmt.Errorf("scenario: unknown mode %d", d.cfg.Mode)
 	}
 	d.closePhase()
 	return d.reports, nil
 }
 
-// schedule lays the scenario onto the engine as one control operation that
-// walks the timeline in order: event times are lower bounds (the op sleeps
-// to them when ahead, proceeds immediately when virtual time has already
-// passed them), so phases are causal eras, not wall windows (see
-// EventDriven).
-func (d *Driver) schedule(e *netsim.Engine, s Scenario) {
-	e.At(0, func() {
-		for i, te := range s.Events {
-			if dt := te.At - e.Now(); dt > 0 {
-				e.Sleep(dt)
-			}
-			switch ev := te.Ev.(type) {
-			case Queries:
-				d.storm(e, d.stormMix(ev.Count, 0, i), i)
-			case FlashCrowd:
-				d.storm(e, d.stormMix(ev.Count, ev.Hot, i), i)
-			default:
-				d.exec(te.Ev, i)
-			}
+// storm issues the mix's queries and folds the load they put on each address
+// into the phase. Without an engine they run inline, in order. Under one each
+// query is its own op, offset into the querySpread window by the storm's
+// labeled stream, and the caller joins on all of them: queries interleave
+// freely with one another (and with the engine's inbound queues), but the
+// timeline never advances past a storm still in flight.
+func (d *Driver) storm(mix workload.QueryMix, idx int) {
+	before := d.net.Loads()
+	if e := d.net.Engine(); e == nil {
+		for q := range mix.Objects {
+			d.oneQuery(mix.Clients[q], mix.Objects[q])
 		}
-	})
-}
-
-// storm spawns each query as its own op, offset into the QuerySpread window
-// by the storm's labeled stream, then joins on all of them: queries
-// interleave freely with one another (and with the engine's inbound
-// queues), but the timeline never advances past a storm still in flight.
-func (d *Driver) storm(e *netsim.Engine, mix workload.QueryMix, idx int) {
-	trng := d.streamRNG("times", idx)
-	handles := make([]*netsim.OpHandle, 0, len(mix.Objects))
-	for q := range mix.Objects {
-		c, o := mix.Clients[q], mix.Objects[q]
-		off := 0.001 + trng.Float64()*d.cfg.QuerySpread
-		handles = append(handles, e.Spawn(func() {
-			e.Sleep(off)
-			d.oneQuery(c, o)
-		}))
+	} else {
+		trng := d.streamRNG("times", idx)
+		handles := make([]*netsim.OpHandle, 0, len(mix.Objects))
+		for q := range mix.Objects {
+			c, o := mix.Clients[q], mix.Objects[q]
+			off := 0.001 + trng.Float64()*querySpread
+			handles = append(handles, e.Spawn(func() {
+				e.Sleep(off)
+				d.oneQuery(c, o)
+			}))
+		}
+		for _, h := range handles {
+			h.Wait()
+		}
 	}
-	for _, h := range handles {
-		h.Wait()
+	if before == nil || len(mix.Objects) == 0 {
+		return
+	}
+	if d.cur.StormLoad == nil {
+		d.cur.StormLoad = map[netsim.Addr]int64{}
+	}
+	for a, was := range before {
+		if delta := d.net.LoadAt(netsim.Addr(a)) - was; delta > 0 {
+			d.cur.StormLoad[netsim.Addr(a)] += delta
+		}
+	}
+	for _, h := range d.members {
+		if _, ok := d.cur.StormLoad[h.Addr()]; !ok {
+			d.cur.StormLoad[h.Addr()] = 0
+		}
 	}
 }
 
 // stormMix draws a storm's (client draw, object) pairs from the event's
-// labeled stream — identical in both modes. hot > 0 selects the flash-crowd
-// mix with a seeded hot object.
+// labeled stream — identical with and without an engine. hot > 0 selects the
+// flash-crowd mix with a seeded hot object.
 func (d *Driver) stormMix(count int, hot float64, idx int) workload.QueryMix {
 	rng := d.streamRNG("mix", idx)
 	objects := len(d.cfg.Placement.Names)
@@ -239,12 +232,12 @@ func (d *Driver) stormMix(count int, hot float64, idx int) workload.QueryMix {
 	}
 	if hot > 0 {
 		hotObj := rng.Intn(objects)
-		return workload.FlashCrowdQueries(count, 1<<30, objects, hotObj, hot, d.cfg.Zipf, rng)
+		return workload.FlashCrowdQueries(count, 1<<30, objects, hotObj, hot, zipfS, rng)
 	}
-	return workload.ZipfQueries(count, 1<<30, objects, d.cfg.Zipf, rng)
+	return workload.ZipfQueries(count, 1<<30, objects, zipfS, rng)
 }
 
-// exec runs one non-storm event (or, in Direct mode, a storm inline).
+// exec runs one event to completion.
 func (d *Driver) exec(ev Event, idx int) {
 	switch ev := ev.(type) {
 	case Phase:
@@ -262,9 +255,9 @@ func (d *Driver) exec(ev Event, idx int) {
 	case LinkFaults:
 		d.net.SetLinkFaults(ev.Loss, ev.Dup, stats.StreamSeed(d.cfg.Seed, "linkfaults", idx))
 	case Queries:
-		d.runStorm(d.stormMix(ev.Count, 0, idx))
+		d.storm(d.stormMix(ev.Count, 0, idx), idx)
 	case FlashCrowd:
-		d.runStorm(d.stormMix(ev.Count, ev.Hot, idx))
+		d.storm(d.stormMix(ev.Count, ev.Hot, idx), idx)
 	case JoinStampede:
 		for i := 0; i < ev.Count; i++ {
 			d.join(d.takeReserve())
@@ -446,7 +439,10 @@ func (d *Driver) churn(ev Churn, idx int) {
 			// Execution-time floor: the plan assumed joins that may have
 			// failed (exhausted pool, partition), so re-check before killing.
 		default:
-			h := d.members[op.Victim%len(d.members)]
+			h, ok := d.victim(op.Victim, ev.SpareServers)
+			if !ok {
+				continue
+			}
 			if op.Crash {
 				if d.classify(d.proto.Fail(h)) {
 					d.removeMember(h)
@@ -462,11 +458,17 @@ func (d *Driver) churn(ev Churn, idx int) {
 	}
 }
 
-// runStorm executes a storm inline (Direct mode).
-func (d *Driver) runStorm(mix workload.QueryMix) {
-	for q := range mix.Objects {
-		d.oneQuery(mix.Clients[q], mix.Objects[q])
+// victim resolves a churn departure draw against the live membership. With
+// spare set it scans on from the drawn member to the first one that is no
+// object's origin server; ok is false when every member is one.
+func (d *Driver) victim(draw int, spare bool) (h overlay.Handle, ok bool) {
+	for k := range d.members {
+		h = d.members[(draw+k)%len(d.members)]
+		if !spare || len(d.origin[h.Addr()]) == 0 {
+			return h, true
+		}
 	}
+	return nil, false
 }
 
 // oneQuery resolves the client draw against the current membership and
@@ -485,6 +487,7 @@ func (d *Driver) oneQuery(clientDraw, obj int) {
 		return
 	}
 	d.cur.Found++
+	d.cur.VLat.Add(cost.VirtualLatency())
 	d.hopsSum += float64(res.Hops)
 	if direct := d.space.Distance(int(h.Addr()), int(res.Server)); direct > 0 {
 		d.strSum += cost.Distance() / direct

@@ -60,13 +60,19 @@ func buildEnv(t *testing.T, name string, space metric.Space, n, reserveN, object
 
 func run(t *testing.T, e env, name string, cfg Config) []PhaseReport {
 	t.Helper()
-	cfg.Placement = e.place
-	cfg.Reserve = e.reserve
-	d, err := NewDriver(e.proto, e.handles, cfg)
+	s, err := Named(name, Spec{Queries: 96, Stampede: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Named(name, Spec{Queries: 96, Stampede: 8})
+	return replay(t, e, s, cfg)
+}
+
+// replay drives the scenario against the environment.
+func replay(t *testing.T, e env, s Scenario, cfg Config) []PhaseReport {
+	t.Helper()
+	cfg.Placement = e.place
+	cfg.Reserve = e.reserve
+	d, err := NewDriver(e.proto, e.handles, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +232,7 @@ func TestEventDrivenMode(t *testing.T) {
 			e := buildEnv(t, "tapestry", space, 64, 32, 16, 7)
 			eng := netsim.NewEngine(99)
 			e.proto.Net().AttachEngine(eng)
-			return run(t, e, name, Config{Seed: 13, Mode: EventDriven})
+			return run(t, e, name, Config{Seed: 13})
 		}
 		reports := mk()
 		if len(reports) != 3 {
@@ -250,14 +256,120 @@ func TestEventDrivenMode(t *testing.T) {
 	}
 }
 
-func TestEventDrivenNeedsEngine(t *testing.T) {
-	e := buildEnv(t, "tapestry", metric.NewRing(256), 32, 8, 8, 7)
-	d, err := NewDriver(e.proto, e.handles, Config{Seed: 1, Mode: EventDriven, Placement: e.place})
-	if err != nil {
-		t.Fatal(err)
+// TestChurnSparesServers pins Churn.SpareServers: no origin server ever
+// leaves or crashes, a membership made only of servers skips the departure,
+// and without the flag servers are fair game.
+func TestChurnSparesServers(t *testing.T) {
+	churn := func(spare bool) Scenario {
+		b := New("churn").At(0, Phase{Name: "churn"})
+		for ep := 0; ep < 4; ep++ {
+			b.At(float64(ep), Churn{LeaveMean: 4, CrashMean: 4, SpareServers: spare}, Queries{Count: 16})
+		}
+		return b.MustBuild()
 	}
-	if _, err := d.Run(Named2(t, "blackout")); err == nil {
-		t.Fatal("EventDriven ran without an engine")
+	serversLive := func(e env) (live, total int) {
+		now := map[netsim.Addr]bool{}
+		for _, h := range e.proto.Handles() {
+			now[h.Addr()] = true
+		}
+		seen := map[netsim.Addr]bool{}
+		for _, servers := range e.place.Servers {
+			a := e.handles[servers[0]].Addr()
+			if !seen[a] {
+				seen[a] = true
+				total++
+				if now[a] {
+					live++
+				}
+			}
+		}
+		return live, total
+	}
+
+	e := buildEnv(t, "tapestry", metric.NewRing(512), 64, 0, 12, 7)
+	r := replay(t, e, churn(true), Config{Seed: 3})[0]
+	if r.Leaves == 0 || r.Crashes == 0 {
+		t.Fatalf("churn removed nobody: %+v", r)
+	}
+	if live, total := serversLive(e); live != total {
+		t.Fatalf("%d of %d origin servers survived spared churn", live, total)
+	}
+
+	// 64 objects over 8 members: every member serves something.
+	e = buildEnv(t, "tapestry", metric.NewRing(64), 8, 0, 64, 7)
+	if _, total := serversLive(e); total != 8 {
+		t.Fatalf("placement left %d of 8 members serving; the case exercises nothing", total)
+	}
+	r = replay(t, e, churn(true), Config{Seed: 3})[0]
+	if r.Leaves+r.Crashes+r.Declined+r.Failed != 0 || r.Live != 8 {
+		t.Fatalf("all-servers membership was not left alone: %+v", r)
+	}
+	e = buildEnv(t, "tapestry", metric.NewRing(64), 8, 0, 64, 7)
+	r = replay(t, e, churn(false), Config{Seed: 3})[0]
+	if live, _ := serversLive(e); live == 8 || r.Leaves+r.Crashes == 0 {
+		t.Fatalf("unspared churn removed no server: %+v", r)
+	}
+}
+
+// TestVLat pins the latency summary: one observation per found query, all
+// zero without an engine, virtual-time latency under one — and the engine
+// replay is deterministic down to every observation.
+func TestVLat(t *testing.T) {
+	s := New("storm").At(0, Phase{Name: "storm"}, Queries{Count: 64}).MustBuild()
+	mk := func(engine bool) PhaseReport {
+		e := buildEnv(t, "tapestry", metric.NewRing(512), 64, 0, 16, 7)
+		if engine {
+			e.proto.Net().AttachEngine(netsim.NewEngine(99))
+		}
+		return replay(t, e, s, Config{Seed: 13})[0]
+	}
+	direct := mk(false)
+	if direct.Found == 0 || direct.VLat.N() != direct.Found || direct.VLat.Max() != 0 {
+		t.Fatalf("direct replay: found %d, vlat %s, want %d zeros", direct.Found, direct.VLat.String(), direct.Found)
+	}
+	virtual := mk(true)
+	// Compared before any order statistic is read: reading one sorts the
+	// summary in place.
+	if twin := mk(true); !reflect.DeepEqual(virtual, twin) {
+		t.Fatalf("engine twin runs diverged:\n%+v\nvs\n%+v", virtual, twin)
+	}
+	if virtual.VLat.N() != virtual.Found || virtual.VLat.Max() <= 0 {
+		t.Fatalf("engine replay: found %d, vlat %s, want positive latencies", virtual.Found, virtual.VLat.String())
+	}
+}
+
+// TestStormLoad pins the per-address storm load: absent on a network that
+// does not track load, and on one that does, an entry for every member with
+// the peak at the directory's central server.
+func TestStormLoad(t *testing.T) {
+	s := New("storm").At(0, Phase{Name: "storm"}, Queries{Count: 128}).MustBuild()
+	mk := func(track bool) (PhaseReport, env) {
+		e := buildEnv(t, "directory", metric.NewRing(512), 48, 0, 16, 7)
+		if track {
+			e.proto.Net().EnableLoadTracking()
+		}
+		return replay(t, e, s, Config{Seed: 13})[0], e
+	}
+	if r, _ := mk(false); r.StormLoad != nil {
+		t.Fatalf("storm load reported without load tracking: %v", r.StormLoad)
+	}
+	r, e := mk(true)
+	server, ok := overlay.DirectoryServer(e.proto)
+	if !ok {
+		t.Fatal("directory has no server")
+	}
+	for _, h := range e.handles {
+		if _, ok := r.StormLoad[h.Addr()]; !ok {
+			t.Fatalf("member at %d has no load entry", h.Addr())
+		}
+	}
+	for a, n := range r.StormLoad {
+		if a != server && n >= r.StormLoad[server] {
+			t.Fatalf("address %d took %d messages, the server only %d", a, n, r.StormLoad[server])
+		}
+	}
+	if twin, _ := mk(true); !reflect.DeepEqual(r, twin) {
+		t.Fatalf("tracked twin runs diverged:\n%+v\nvs\n%+v", r, twin)
 	}
 }
 

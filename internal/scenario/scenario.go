@@ -1,8 +1,8 @@
 // Package scenario is the adversarial scenario engine: a deterministic,
 // composable DSL for correlated-failure timelines (regional blackouts,
 // healing partitions, flash crowds, join stampedes, lossy links) plus a
-// Driver that replays any scenario against any overlay.Protocol — caps-gated
-// like E-faceoff, in both direct and event-driven (virtual-time) modes.
+// Driver that replays any scenario against any overlay.Protocol — caps-gated,
+// serially on a plain network and in virtual time on one with an engine.
 //
 // Churn elsewhere in the repository is i.i.d. Poisson, the kindest possible
 // failure model; the paper's dynamic-correctness claims (§4.4, Thm 6) are
@@ -69,8 +69,13 @@ type JoinStampede struct{ Count int }
 
 // Churn is one epoch of the classic i.i.d. model — Poisson joins, leaves and
 // crashes — embedded so benign background churn can overlay the adversarial
-// events.
-type Churn struct{ JoinMean, LeaveMean, CrashMean float64 }
+// events. SpareServers exempts the objects' origin servers from departure, so
+// the epoch measures routing health rather than replica loss: a draw landing
+// on one moves on to the next member that serves nothing.
+type Churn struct {
+	JoinMean, LeaveMean, CrashMean float64
+	SpareServers                   bool
+}
 
 // Queries is a plain background measurement storm of Count Zipf queries.
 type Queries struct{ Count int }
@@ -145,7 +150,11 @@ func (e JoinStampede) validate() error {
 }
 
 func (e Churn) String() string {
-	return fmt.Sprintf("churn(join=%.1f leave=%.1f crash=%.1f)", e.JoinMean, e.LeaveMean, e.CrashMean)
+	spare := ""
+	if e.SpareServers {
+		spare = " servers spared"
+	}
+	return fmt.Sprintf("churn(join=%.1f leave=%.1f crash=%.1f%s)", e.JoinMean, e.LeaveMean, e.CrashMean, spare)
 }
 func (e Churn) validate() error {
 	for _, m := range []float64{e.JoinMean, e.LeaveMean, e.CrashMean} {
