@@ -1,5 +1,6 @@
 // Command tapestry-node runs one Tapestry overlay node as a standalone
-// process: a TCP daemon speaking the wire cluster protocol (internal/wire).
+// process: a TCP daemon speaking the wire cluster protocol (internal/wire)
+// on the framed-TCP stack the core mesh's TCP transport uses.
 // It starts empty; a harness — normally examples/cluster — provisions its
 // routing table and endpoint book with ClusterInstall and then drives
 // publish/locate traffic that the daemons forward among themselves.
@@ -20,6 +21,7 @@ import (
 	"strconv"
 
 	"tapestry/internal/procnode"
+	"tapestry/internal/wire"
 )
 
 // listenRetry binds addr; for a fixed (non-zero) port it tries up to
@@ -55,7 +57,8 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("LISTEN %s\n", ln.Addr())
-	if err := procnode.New().Serve(ln); err != nil {
+	srv := wire.Server{Host: procnode.New()}
+	if err := srv.Serve(ln); err != nil {
 		fmt.Fprintln(os.Stderr, "tapestry-node:", err)
 		os.Exit(1)
 	}

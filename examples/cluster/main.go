@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
-	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -36,34 +35,12 @@ import (
 )
 
 // daemon is the harness's view of one spawned tapestry-node process: its
-// overlay identity and one persistent control connection.
+// socket and a client of it (the framed-TCP stack of internal/wire, the one
+// the daemons forward to each other with).
 type daemon struct {
-	proc *exec.Cmd
-	hp   string // daemon's host:port
-	conn net.Conn
-	rbuf []byte
-	wbuf []byte
-}
-
-// exchange performs one request/response round trip on the control conn.
-func (d *daemon) exchange(req wire.Msg, want wire.Type) (wire.Msg, error) {
-	var err error
-	if d.wbuf, err = wire.WriteMsg(d.conn, d.wbuf, req); err != nil {
-		return nil, err
-	}
-	frame, err := wire.ReadFrame(d.conn, d.rbuf)
-	d.rbuf = frame
-	if err != nil {
-		return nil, err
-	}
-	resp, _, err := wire.DecodeFrame(frame)
-	if err != nil {
-		return nil, err
-	}
-	if resp.WireType() != want {
-		return nil, fmt.Errorf("reply type %v, want %v", resp.WireType(), want)
-	}
-	return resp, nil
+	proc   *exec.Cmd
+	hp     string // daemon's host:port
+	client *wire.Client
 }
 
 func main() {
@@ -131,8 +108,8 @@ func run(n, objects, queries int, seed int64, basePort int) error {
 			if d == nil {
 				continue
 			}
-			if d.conn != nil {
-				d.conn.Close()
+			if d.client != nil {
+				d.client.Close()
 			}
 			if d.proc != nil {
 				d.proc.Process.Kill()
@@ -179,9 +156,7 @@ func run(n, objects, queries int, seed int64, basePort int) error {
 		eps[i] = wire.Endpoint{Addr: nodes[i].Addr(), HostPort: d.hp}
 	}
 	for i, d := range daemons {
-		if d.conn, err = net.DialTimeout("tcp", d.hp, 5*time.Second); err != nil {
-			return fmt.Errorf("dialing daemon %d: %v", i, err)
-		}
+		d.client = wire.NewClient(d.hp)
 		inst := &wire.ClusterInstall{
 			Base:      mesh.Spec().Base,
 			Digits:    mesh.Spec().Digits,
@@ -192,12 +167,18 @@ func run(n, objects, queries int, seed int64, basePort int) error {
 		nodes[i].Table().ForEachNeighbor(func(l int, e route.Entry) {
 			inst.Rows = append(inst.Rows, wire.LeveledEntry{Level: l, E: e})
 		})
-		if _, err := d.exchange(inst, wire.TClusterAck); err != nil {
+		// Unaddressed (the zero ID): the daemon has no identity until this lands.
+		if err := d.client.Exchange(nodes[i].Addr(), ids.ID{}, inst, &wire.ClusterAck{}, nil); err != nil {
 			return fmt.Errorf("installing daemon %d: %v", i, err)
 		}
 	}
 	fmt.Printf("installed %d routing tables (%d-ary digits, %d levels)\n",
 		n, mesh.Spec().Base, mesh.Spec().Digits)
+
+	// ask is one addressed round trip with daemon i.
+	ask := func(i int, req, resp wire.Msg) error {
+		return daemons[i].client.Exchange(nodes[i].Addr(), nodes[i].ID(), req, resp, nil)
+	}
 
 	// 5. Publish: each object is stored at a round-robin server; the server's
 	// daemon deposits pointers hop by hop toward the key's root. The root a
@@ -209,17 +190,17 @@ func run(n, objects, queries int, seed int64, basePort int) error {
 		guids[j] = mesh.Spec().Hash(fmt.Sprintf("object-%04d", j))
 		servers[j] = j % n
 		s := servers[j]
-		if _, err := daemons[s].exchange(&wire.ClusterServe{GUIDs: guids[j : j+1]}, wire.TClusterAck); err != nil {
+		if err := ask(s, &wire.ClusterServe{GUIDs: guids[j : j+1]}, &wire.ClusterAck{}); err != nil {
 			return fmt.Errorf("serve %d: %v", j, err)
 		}
-		resp, err := daemons[s].exchange(&wire.ClusterPublish{
+		var done wire.ClusterPubDone
+		if err := ask(s, &wire.ClusterPublish{
 			GUID: guids[j], Key: guids[j],
 			Server: nodes[s].ID(), ServerAddr: nodes[s].Addr(),
-		}, wire.TClusterPubDone)
-		if err != nil {
+		}, &done); err != nil {
 			return fmt.Errorf("publish %d: %v", j, err)
 		}
-		root := resp.(*wire.ClusterPubDone).Root
+		root := done.Root
 		oracle, _, err := nodes[s].SurrogateFor(guids[j], nil)
 		if err != nil {
 			return fmt.Errorf("oracle surrogate %d: %v", j, err)
@@ -237,12 +218,10 @@ func run(n, objects, queries int, seed int64, basePort int) error {
 	for q := 0; q < queries; q++ {
 		j := rng.Intn(objects)
 		c := rng.Intn(n)
-		resp, err := daemons[c].exchange(&wire.ClusterLocate{GUID: guids[j], Key: guids[j]},
-			wire.TClusterFound)
-		if err != nil {
+		var f wire.ClusterFound
+		if err := ask(c, &wire.ClusterLocate{GUID: guids[j], Key: guids[j]}, &f); err != nil {
 			return fmt.Errorf("locate %d: %v", q, err)
 		}
-		f := resp.(*wire.ClusterFound)
 		if f.Found && f.ServerAddr == nodes[servers[j]].Addr() {
 			found++
 			hops += f.Hops

@@ -104,7 +104,7 @@ func runPinnedChurn(t *testing.T, kind TransportKind) ([6]churnPhase, [2]int, st
 	case *loopbackTransport:
 		tr.afterDispatch = scribble
 	case *tcpTransport:
-		tr.afterDispatch = scribble
+		tr.srv.AfterDispatch = scribble
 	}
 	// The pointer store recycles its states the same way, under the same kind
 	// of rule — nothing keeps a state or its records past the node's lock —
@@ -148,9 +148,8 @@ func runPinnedChurn(t *testing.T, kind TransportKind) ([6]churnPhase, [2]int, st
 				t.Fatalf("%v: epoch %d leave: %v", kind, ep, err)
 			}
 		}
-		// A leave is charged every message it causes (over TCP its handlers'
-		// own traffic is not: a Cost cannot cross a socket).
-		if sent = m.net.TotalMessages() - sent; kind != TransportTCP && int64(leave.Messages()) != sent {
+		// A leave is charged every message it causes, its handlers' included.
+		if sent = m.net.TotalMessages() - sent; int64(leave.Messages()) != sent {
 			t.Errorf("%v: epoch %d: leaves were charged %d messages, the network counted %d", kind, ep, leave.Messages(), sent)
 		}
 		for j := 0; j < 3; j++ {
@@ -230,22 +229,11 @@ func TestScribbleReachesEveryField(t *testing.T) {
 // TestChurnFingerprintPinned replays the pinned churn script on all three
 // transports and requires the per-phase message counts, the links the sweep
 // removed and the final mesh digest to equal the recorded constants exactly.
-// Over TCP a handler's own traffic is not charged (a Cost cannot cross a
-// socket), so the join and leave phases — whose handlers notify and repair —
-// count fewer messages there and are left out; the sweep, the republish
-// epochs and the digest do not depend on what handlers charge.
 func TestChurnFingerprintPinned(t *testing.T) {
 	for _, kind := range allTransports {
 		phases, partition, hash := runPinnedChurn(t, kind)
-		want := pinnedChurnPhases
-		if kind == TransportTCP {
-			for i := range phases {
-				phases[i].join, phases[i].leave = 0, 0
-				want[i].join, want[i].leave = 0, 0
-			}
-		}
-		if phases != want {
-			t.Errorf("%v: per-phase costs drifted:\n got  %+v\n want %+v", kind, phases, want)
+		if phases != pinnedChurnPhases {
+			t.Errorf("%v: per-phase costs drifted:\n got  %+v\n want %+v", kind, phases, pinnedChurnPhases)
 		}
 		if partition != pinnedPartitionRepublish {
 			t.Errorf("%v: republish under/after partition sent %v messages, want %v", kind, partition, pinnedPartitionRepublish)

@@ -29,6 +29,7 @@ import (
 	"tapestry/internal/netsim"
 	"tapestry/internal/route"
 	"tapestry/internal/stats"
+	"tapestry/internal/wire"
 )
 
 // Scheme selects the surrogate-routing variant of Section 2.3.
@@ -575,15 +576,16 @@ func (m *Mesh) Size() int {
 // errDead distinguishes "destination's host is up but the overlay node is
 // gone" — treated exactly like an unreachable host by callers. It reaches
 // them wrapped in a *PeerError (transport.go), the one failure shape every
-// backend produces.
-var errDead = errors.New("core: node no longer participates")
+// backend produces — and is the cause a daemon's caller gets for a request
+// the daemon refused, the one sentinel on both sides of the shared TCP stack.
+var errDead = wire.ErrPeerGone
 
 // rpc charges a request/response pair from caller to the entry's address and
 // resolves the live target node. A stale entry (address re-used by a
 // different ID, departed node, dead host) yields a *PeerError after charging
 // the probe, matching the paper's model where failures are detected by
-// timeout. This is the charging half of the direct and loopback transports;
-// message delivery is layered on top by Transport.Invoke.
+// timeout. This is the charging and resolving half of Mesh.invoke, on every
+// transport; a Transport only delivers the message to the node returned.
 func (m *Mesh) rpc(from netsim.Addr, to route.Entry, cost *netsim.Cost, hop bool) (*Node, error) {
 	if err := m.net.Send(from, to.Addr, cost, hop); err != nil {
 		return nil, &PeerError{To: to, Err: err}
@@ -600,8 +602,8 @@ func (m *Mesh) rpc(from netsim.Addr, to route.Entry, cost *netsim.Cost, hop bool
 	return target, nil
 }
 
-// oneWay charges a single message and resolves the target (no response leg),
-// used for notifications that are fire-and-forget in the paper.
+// oneWay charges a single message and resolves the target (no response leg)
+// for Mesh.oneWayMsg: the notifications that are fire-and-forget in the paper.
 func (m *Mesh) oneWay(from netsim.Addr, to route.Entry, cost *netsim.Cost) (*Node, error) {
 	if err := m.net.Send(from, to.Addr, cost, false); err != nil {
 		return nil, &PeerError{To: to, Err: err}

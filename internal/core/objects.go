@@ -214,46 +214,53 @@ func (n *Node) publishPath(guid, key ids.ID, region int, cost *netsim.Cost) erro
 // trail starting at hop and walking lastHop links backwards, stopping when
 // the trail runs out or reaches stopAt — the node at which the path diverged,
 // whose own record (and everything upstream of it) is still valid (Figure 9's
-// DeletePointersBackward with its changedNode argument).
+// DeletePointersBackward with its changedNode argument). n sends the first
+// DeleteBack; each node that drops its record passes the message on.
 func (n *Node) deleteBackward(guid, key, server ids.ID, hop route.Entry, stopAt ids.ID, cost *netsim.Cost) {
 	f := n.mesh.getFrames()
-	defer n.mesh.putFrames(f)
 	f.del.GUID, f.del.Key, f.del.Server, f.del.StopAt = guid, key, server, stopAt
-	from := n.addr
-	for !hop.ID.IsZero() && !hop.ID.Equal(stopAt) && !hop.ID.Equal(server) {
-		target, err := n.mesh.oneWayMsg(from, hop, &f.del, cost)
-		if err != nil {
-			return
-		}
-		found, protected := false, false
-		target.mu.Lock()
-		st := target.find(guid)
-		if st != nil {
-			for i := range st.recs {
-				if r := &st.recs[i]; r.samePath(server, key) {
-					found = true
-					hop = entryAt(r.lastHop, r.lastAddr)
-					// A node that is currently the terminal for this key —
-					// or whose record is root-flagged — must never lose the
-					// record to a backward sweep: under concurrent
-					// membership changes, a walk that followed a stale view
-					// could otherwise delete the very record queries depend
-					// on (the paper's rule that "the old root not delete
-					// pointers until the new root has acknowledged" is this
-					// guard in soft-state form). Stale residue that survives
-					// here is cleaned up by TTL expiry.
-					protected = r.root || target.nextHop(key, int(r.level), nil).terminal
-				}
+	n.sendDeleteBack(&f.del, hop, cost)
+	n.mesh.putFrames(f)
+}
+
+// sendDeleteBack sends q one-way from n to the next node of the trail, unless
+// the trail has run out or reached its stop.
+func (n *Node) sendDeleteBack(q *wire.DeleteBack, hop route.Entry, cost *netsim.Cost) {
+	if hop.ID.IsZero() || hop.ID.Equal(q.StopAt) || hop.ID.Equal(q.Server) {
+		return
+	}
+	_, _ = n.mesh.oneWayMsg(n.addr, hop, q, cost) // a dead trail node ends the sweep; TTL expiry cleans up behind it
+}
+
+// handleDeleteBack is one trail node's share of the backward deletion: drop
+// the (server, key) record and pass q on to the record's lastHop.
+func (n *Node) handleDeleteBack(q *wire.DeleteBack, cost *netsim.Cost) {
+	var next route.Entry
+	dropped := false
+	n.mu.Lock()
+	st := n.find(q.GUID)
+	if st != nil {
+		for i := range st.recs {
+			if r := &st.recs[i]; r.samePath(q.Server, q.Key) {
+				next = entryAt(r.lastHop, r.lastAddr)
+				// A node that is currently the terminal for this key — or
+				// whose record is root-flagged — must never lose the record
+				// to a backward sweep: under concurrent membership changes, a
+				// walk that followed a stale view could otherwise delete the
+				// very record queries depend on (the paper's rule that "the
+				// old root not delete pointers until the new root has
+				// acknowledged" is this guard in soft-state form). Stale
+				// residue that survives here is cleaned up by TTL expiry.
+				dropped = !r.root && !n.nextHop(q.Key, int(r.level), nil).terminal
 			}
 		}
-		if found && !protected {
-			target.drop(st, guid, server, key)
-		}
-		target.mu.Unlock()
-		if !found || protected {
-			return
-		}
-		from = target.addr
+	}
+	if dropped {
+		n.drop(st, q.GUID, q.Server, q.Key)
+	}
+	n.mu.Unlock()
+	if dropped {
+		n.sendDeleteBack(q, next, cost)
 	}
 }
 

@@ -1,16 +1,11 @@
 package core
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"tapestry/internal/ids"
 	"tapestry/internal/netsim"
@@ -20,37 +15,39 @@ import (
 
 // This file is the node-to-node message seam. Every remote interaction in
 // the package goes through Mesh.invoke / Mesh.oneWayMsg with a typed
-// internal/wire message, and a pluggable Transport decides how that message
-// travels:
+// internal/wire message. The mesh does what every backend shares, once:
+// Mesh.rpc / Mesh.oneWay charge the simulated network (the cost model is the
+// simulator's, not the kernel's), resolve the live node behind the entry and
+// build the one failure shape, *PeerError. A pluggable Transport then only
+// delivers the message to that node:
 //
-//   - TransportDirect (default): the historical shared-memory path. Costs are
-//     charged via netsim exactly as before and the peer-side work runs as a
-//     direct method call; behavior and simulated-cost accounting are
-//     byte-identical to the pre-transport code.
-//   - TransportLoopback: identical charging, but every request and response
-//     round-trips through the wire codec (encode -> decode into a recycled
-//     struct of its type) before the peer sees it, so running the full test
-//     suite under it proves every RPC survives serialization.
+//   - TransportDirect (default): the peer-side work runs as a direct method
+//     call. Zero serialization, zero allocation.
+//   - TransportLoopback: every request and response round-trips through the
+//     wire codec (encode -> decode into a recycled struct of its type) before
+//     the peer sees it, so running the full test suite under it proves every
+//     RPC survives serialization.
 //   - TransportTCP: every message additionally crosses a real socket through
-//     a per-mesh loopback listener. Simulated costs are still charged on the
-//     caller (the cost model is the simulator's, not the kernel's); peer-side
-//     work triggered by a handler is not charged, since a *netsim.Cost cannot
-//     cross a socket. Incompatible with the virtual-time event engine, whose
+//     a per-mesh loopback listener, on the framed-TCP stack the daemons use
+//     (wire/tcp.go). The handler runs against the connection's meter and the
+//     reply carries what it spent back to the caller's, so TCP charges what
+//     direct charges. Incompatible with the virtual-time event engine, whose
 //     clock only advances between simulated sends.
 //
 // Division of labor: messages whose peer-side effect is a state mutation or a
 // data-carrying response (table-band queries, join snapshots, backpointer
-// registrations, leave notifications, share offers, replica verification)
-// are executed by (*Node).dispatch on the receiving node. Walk-step messages
-// (RouteStep, LocateStep, LocalStep, PtrForward; McastStep, CaravanStep) are
-// dispatch no-ops: a key-directed walk is one driver (runWalk, walk.go) that
-// owns the hop policy and, once the transport has delivered the hop, runs the
-// operation's step at the node it returns — under one hold of that node's
-// lock, touching only that node; whatever the step needs sent is a
-// continuation the driver runs after unlocking. The step is therefore
-// already a handler in all but its call site, while the iterative driver —
-// and its allocation-free hot path — stays, and the messages themselves
-// document and (under loopback/TCP) exercise the full wire protocol.
+// registrations, leave notifications, share offers, replica verification,
+// Figure 9's backward deletion) are executed by (*Node).dispatch on the
+// receiving node. Walk-step messages (RouteStep, LocateStep, LocalStep,
+// PtrForward; McastStep, CaravanStep) are dispatch no-ops: a key-directed
+// walk is one driver (runWalk, walk.go) that owns the hop policy and, once
+// the message is delivered, runs the operation's step at the node the mesh
+// resolved — under one hold of that node's lock, touching only that node;
+// whatever the step needs sent is a continuation the driver runs after
+// unlocking. The step is therefore already a handler in all but its call
+// site, while the iterative driver — and its allocation-free hot path —
+// stays, and the messages themselves document and (under loopback/TCP)
+// exercise the full wire protocol.
 
 // TransportKind selects the message-transport backend of a Mesh.
 type TransportKind int
@@ -132,15 +129,12 @@ func (e *PeerError) Error() string {
 
 func (e *PeerError) Unwrap() error { return e.Err }
 
-// Transport delivers typed wire messages between overlay nodes. Invoke is a
-// request/response exchange (hop marks a routing hop for cost accounting);
-// OneWay is fire-and-forget. Both charge the simulated network, resolve the
-// live peer, run its dispatch handler, and return the peer for the walk
-// drivers' in-process continuation. Errors are always *PeerError.
+// Transport delivers one typed wire message to a node the mesh has already
+// charged for and resolved: the node's dispatch handler runs with req and —
+// for a request/response exchange; nil makes it a one-way — fills resp, its
+// own traffic charged to cost. An error is a delivery failure (a socket's).
 type Transport interface {
-	Kind() TransportKind
-	Invoke(from netsim.Addr, to route.Entry, req, resp wire.Msg, cost *netsim.Cost, hop bool) (*Node, error)
-	OneWay(from netsim.Addr, to route.Entry, msg wire.Msg, cost *netsim.Cost) (*Node, error)
+	deliver(target *Node, req, resp wire.Msg, cost *netsim.Cost) error
 	Close() error
 }
 
@@ -196,25 +190,42 @@ func (m *Mesh) getFrames() *msgFrames {
 
 func (m *Mesh) putFrames(f *msgFrames) { m.framePool.Put(f) }
 
-// invoke sends a request/response pair to the entry's node via the mesh
-// transport.
+// invoke sends a request/response pair to the entry's node: charged and
+// resolved here, delivered by the mesh transport. It returns the node for the
+// walk drivers' in-process continuation; errors are always *PeerError.
 func (m *Mesh) invoke(from netsim.Addr, to route.Entry, req, resp wire.Msg, cost *netsim.Cost, hop bool) (*Node, error) {
-	return m.tr.Invoke(from, to, req, resp, cost, hop)
+	target, err := m.rpc(from, to, cost, hop)
+	if err != nil {
+		return nil, err
+	}
+	return delivered(target, to, m.tr.deliver(target, req, resp, cost))
 }
 
-// oneWayMsg sends a fire-and-forget message to the entry's node via the mesh
-// transport.
+// oneWayMsg sends a fire-and-forget message to the entry's node the same way.
 func (m *Mesh) oneWayMsg(from netsim.Addr, to route.Entry, msg wire.Msg, cost *netsim.Cost) (*Node, error) {
-	return m.tr.OneWay(from, to, msg, cost)
+	target, err := m.oneWay(from, to, cost)
+	if err != nil {
+		return nil, err
+	}
+	return delivered(target, to, m.tr.deliver(target, msg, nil, cost))
+}
+
+// delivered maps a transport's delivery failure onto the one error shape. The
+// exchange was charged before it was attempted, as a dead peer's probe is.
+func delivered(target *Node, to route.Entry, err error) (*Node, error) {
+	if err != nil {
+		return nil, &PeerError{To: to, Err: err}
+	}
+	return target, nil
 }
 
 // newTransport builds the backend for a resolved (non-Auto) kind.
 func newTransport(m *Mesh, k TransportKind) (Transport, error) {
 	switch k {
 	case TransportDirect:
-		return directTransport{m}, nil
+		return directTransport{}, nil
 	case TransportLoopback:
-		return &loopbackTransport{m: m}, nil
+		return &loopbackTransport{}, nil
 	case TransportTCP:
 		return newTCPTransport(m)
 	default:
@@ -224,20 +235,20 @@ func newTransport(m *Mesh, k TransportKind) (Transport, error) {
 
 // dispatch applies req's peer-side effect at the target node, filling resp
 // for request/response messages (resp is nil for one-ways). It runs after the
-// transport has charged the exchange and resolved the live target — the same
+// mesh has charged the exchange and resolved the live target — the same
 // point where the pre-transport code performed these mutations inline at the
-// call site. cost is the operation's meter on direct/loopback and nil on the
-// TCP server side.
+// call site. cost meters what the handler itself sends: the operation's own
+// meter on direct and loopback, the server connection's on TCP, whose reply
+// carries it back to the operation's.
 //
 // req and resp belong to the transport, which reuses them for the next
-// message of their type: a handler must not retain req, resp or any slice
-// inside them past return (it copies out what it keeps), and must overwrite
-// every field of resp.
+// message of their type: the wire.Handler rule — retain nothing, overwrite
+// every field of resp — binds every case below.
 func (target *Node) dispatch(req, resp wire.Msg, cost *netsim.Cost) {
 	switch q := req.(type) {
 	case *wire.Ping, *wire.Ack, *wire.ReacquireReq,
 		*wire.RouteStep, *wire.LocateStep, *wire.LocalStep,
-		*wire.McastStep, *wire.CaravanStep, *wire.PtrForward, *wire.DeleteBack:
+		*wire.McastStep, *wire.CaravanStep, *wire.PtrForward:
 		// Walk steps and probes: the walk driver runs the receiver's step
 		// in-process (see the file comment).
 	case *wire.MatchQueryReq:
@@ -296,66 +307,40 @@ func (target *Node) dispatch(req, resp wire.Msg, cost *netsim.Cost) {
 		target.mu.Lock()
 		target.table.Remove(q.ID)
 		target.mu.Unlock()
+	case *wire.DeleteBack:
+		target.handleDeleteBack(q, cost)
 	default:
 		panic(fmt.Sprintf("core: no dispatch handler for %T", req))
 	}
 }
 
-// directTransport is the historical shared-memory path: charge, resolve,
-// direct method dispatch. Zero serialization, zero allocation.
-type directTransport struct{ m *Mesh }
-
-func (t directTransport) Kind() TransportKind { return TransportDirect }
-
-func (t directTransport) Invoke(from netsim.Addr, to route.Entry, req, resp wire.Msg, cost *netsim.Cost, hop bool) (*Node, error) {
-	target, err := t.m.rpc(from, to, cost, hop)
-	if err != nil {
-		return nil, err
-	}
+// Handle makes a Node the wire.Handler the codec receivers dispatch to.
+func (target *Node) Handle(req, resp wire.Msg, cost *netsim.Cost) error {
 	target.dispatch(req, resp, cost)
-	return target, nil
+	return nil
 }
 
-func (t directTransport) OneWay(from netsim.Addr, to route.Entry, msg wire.Msg, cost *netsim.Cost) (*Node, error) {
-	target, err := t.m.oneWay(from, to, cost)
-	if err != nil {
-		return nil, err
-	}
-	target.dispatch(msg, nil, cost)
-	return target, nil
+// directTransport is the historical shared-memory path: a direct method
+// dispatch. Zero serialization, zero allocation.
+type directTransport struct{}
+
+func (directTransport) deliver(target *Node, req, resp wire.Msg, cost *netsim.Cost) error {
+	target.dispatch(req, resp, cost)
+	return nil
 }
 
-func (t directTransport) Close() error { return nil }
+func (directTransport) Close() error { return nil }
 
-// msgSet holds one recycled message struct per wire type, made on first use.
-// A transport that owns one decodes every message of a type into the same
-// struct, so a fixed-size message costs no allocation to receive.
-type msgSet []wire.Msg
-
-// get returns the set's struct for t, or nil when t is not a defined type.
-func (s *msgSet) get(t wire.Type) wire.Msg {
-	for int(t) >= len(*s) {
-		*s = append(*s, nil)
-	}
-	if (*s)[t] == nil {
-		(*s)[t] = wire.New(t)
-	}
-	return (*s)[t]
-}
-
-// loopbackTransport charges and resolves exactly like direct, but the request
-// is encoded and decoded into the scratch's recycled struct of its type
-// before the peer dispatches it, and the response is encoded by the peer and
-// decoded back into the caller's struct. A codec defect anywhere is a loud
-// panic under the test suite rather than silent state corruption.
+// loopbackTransport encodes the request, has the scratch's wire.Receiver
+// receive it — decoded into the recycled struct of its type, dispatched, the
+// response framed — and decodes the response back into the caller's struct. A
+// codec defect anywhere is a loud panic under the test suite rather than
+// silent state corruption.
 //
 // The scratch is held THROUGH dispatch: the handler reads the recycled
 // request in place, and whatever the handler sends itself takes another
-// scratch from the pool. The rule that makes recycling sound is the one the
-// direct path always imposed through msgFrames — a handler must not retain
-// its request struct, or any slice of it, past return.
+// scratch from the pool.
 type loopbackTransport struct {
-	m    *Mesh
 	pool sync.Pool // *loopScratch
 
 	// afterDispatch, when set (tests only), sees each recycled request struct
@@ -363,109 +348,47 @@ type loopbackTransport struct {
 	afterDispatch func(req wire.Msg)
 }
 
-// loopScratch is one message exchange's codec state and recycled structs.
+// loopScratch is one message exchange's codec state: the caller's half (the
+// request out, the response back in) and the receiver.
 type loopScratch struct {
-	enc         wire.Enc
-	dec         wire.Dec
-	reqs, resps msgSet // what a peer's handler is given, what it fills
+	out wire.Enc
+	dec wire.Dec
+	rc  wire.Receiver
 }
 
-func (t *loopbackTransport) Kind() TransportKind { return TransportLoopback }
-
-func (t *loopbackTransport) getScratch() *loopScratch {
-	if s, ok := t.pool.Get().(*loopScratch); ok {
-		return s
+func (t *loopbackTransport) deliver(target *Node, req, resp wire.Msg, cost *netsim.Cost) error {
+	s, ok := t.pool.Get().(*loopScratch)
+	if !ok {
+		s = &loopScratch{}
 	}
-	return &loopScratch{}
-}
-
-// roundTrip encodes m and decodes the frame into the struct `into`.
-func (s *loopScratch) roundTrip(m, into wire.Msg) {
-	s.enc.Reset()
-	s.enc.Frame(m)
-	if n, err := s.dec.Frame(s.enc.Bytes(), into); err != nil || n != len(s.enc.Bytes()) {
-		panic(fmt.Sprintf("core: loopback codec round-trip of %T failed: consumed %d/%d bytes, err=%v", m, n, len(s.enc.Bytes()), err))
+	respType := wire.Type(0)
+	if resp != nil {
+		respType = resp.WireType()
 	}
-}
-
-func (t *loopbackTransport) Invoke(from netsim.Addr, to route.Entry, req, resp wire.Msg, cost *netsim.Cost, hop bool) (*Node, error) {
-	target, err := t.m.rpc(from, to, cost, hop)
+	s.out.Reset()
+	s.out.Frame(req)
+	reply, err := s.rc.Serve(target, s.out.Bytes(), respType, cost, t.afterDispatch)
+	if err == nil && resp != nil {
+		_, err = s.dec.Frame(reply, resp)
+	}
 	if err != nil {
-		return nil, err
-	}
-	s := t.getScratch()
-	wireReq, wireResp := s.reqs.get(req.WireType()), s.resps.get(resp.WireType())
-	s.roundTrip(req, wireReq)
-	target.dispatch(wireReq, wireResp, cost)
-	s.roundTrip(wireResp, resp)
-	if t.afterDispatch != nil {
-		t.afterDispatch(wireReq)
+		panic(fmt.Sprintf("core: loopback codec round-trip of %T/%T failed: %v", req, resp, err))
 	}
 	t.pool.Put(s)
-	return target, nil
-}
-
-func (t *loopbackTransport) OneWay(from netsim.Addr, to route.Entry, msg wire.Msg, cost *netsim.Cost) (*Node, error) {
-	target, err := t.m.oneWay(from, to, cost)
-	if err != nil {
-		return nil, err
-	}
-	s := t.getScratch()
-	wireMsg := s.reqs.get(msg.WireType())
-	s.roundTrip(msg, wireMsg)
-	target.dispatch(wireMsg, nil, cost)
-	if t.afterDispatch != nil {
-		t.afterDispatch(wireMsg)
-	}
-	t.pool.Put(s)
-	return target, nil
+	return nil
 }
 
 func (t *loopbackTransport) Close() error { return nil }
 
-// tcpTransport routes every message through a real localhost TCP listener
-// owned by the mesh. The request header on a pooled connection is
-//
-//	[u8 kind: 0 invoke / 1 one-way][zigzag to.Addr][u8 idLen][id digits]
-//	[u8 expected response type][framed request]
-//
-// and the reply is [u8 status: 0 ok / 1 peer gone][framed response] (invoke)
-// or just the status byte (one-way — an uncharged transport-level ack that
-// preserves the package's synchronous delivery semantics).
-//
-// Both ends keep their buffers, codec state and message structs with the
-// connection: the client reads each reply through the connection's
-// bufio.Reader (the status byte, frame header and body the server flushed
-// together arrive in one read), and the server decodes every request into
-// its connection's recycled struct of that type — held through dispatch, as
-// on loopback, and under the same no-retention rule.
+// tcpTransport sends every message through a real localhost TCP listener
+// owned by the mesh, on the shared framed-TCP stack (wire/tcp.go): it is the
+// listener, the wire.Host that resolves an envelope's target, and a client of
+// itself.
 type tcpTransport struct {
 	m      *Mesh
 	ln     net.Listener
-	conns  chan *tcpConn
-	closed atomic.Bool
-
-	// timeout bounds one exchange on the client side (tcpExchangeTimeout
-	// outside tests): a peer that accepts and never answers must cost a
-	// caller one bounded wait, not a pooled connection forever.
-	timeout time.Duration
-
-	// afterDispatch is loopbackTransport's test hook, on the server side.
-	afterDispatch func(req wire.Msg)
-}
-
-// tcpExchangeTimeout is generous because a handler may itself run a whole
-// operation over further exchanges (a PublishReq republishes, a
-// JoinSnapshotReq notifies) before it answers.
-const tcpExchangeTimeout = 30 * time.Second
-
-// tcpConn is one pooled client connection with everything an exchange needs.
-type tcpConn struct {
-	net.Conn
-	br  *bufio.Reader
-	out wire.Enc // request header + frame
-	in  []byte   // response frame
-	dec wire.Dec
+	srv    wire.Server
+	client *wire.Client
 }
 
 func newTCPTransport(m *Mesh) (*tcpTransport, error) {
@@ -476,231 +399,35 @@ func newTCPTransport(m *Mesh) (*tcpTransport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: tcp transport listener: %w", err)
 	}
-	t := &tcpTransport{m: m, ln: ln, conns: make(chan *tcpConn, 64), timeout: tcpExchangeTimeout}
-	go t.acceptLoop()
+	t := &tcpTransport{m: m, ln: ln, client: wire.NewClient(ln.Addr().String())}
+	t.srv.Host = t
+	go t.srv.Serve(ln) // returns when Close closes the listener
 	return t, nil
 }
-
-func (t *tcpTransport) Kind() TransportKind { return TransportTCP }
 
 // Addr returns the listener's address (teardown tests dial it after Close).
 func (t *tcpTransport) Addr() net.Addr { return t.ln.Addr() }
 
-func (t *tcpTransport) acceptLoop() {
-	for {
-		conn, err := t.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		go t.serveConn(conn)
+// Lookup is the server side's resolution of an envelope: the message crossed
+// a socket as bytes, so the node the caller resolved is found again by the
+// address and identifier it was sent to. A node that went away in between is
+// a status-1 reply, which the caller sees as errDead.
+func (t *tcpTransport) Lookup(oneWay bool, addr netsim.Addr, id []ids.Digit) wire.Handler {
+	target := t.m.NodeAt(addr)
+	if target == nil || !target.id.EqualDigits(id) || (!oneWay && target.state.load() == stateDead) {
+		return nil
 	}
+	return target
 }
 
-// serveConn handles one client connection for its lifetime.
-func (t *tcpTransport) serveConn(conn net.Conn) {
-	defer conn.Close()
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-	var (
-		frame       []byte
-		out         wire.Enc
-		dec         wire.Dec
-		reqs, resps msgSet
-		toID        [64]ids.Digit
-	)
-	for {
-		kind, err := br.ReadByte()
-		if err != nil {
-			return
-		}
-		toAddr, err := binary.ReadVarint(br)
-		if err != nil {
-			return
-		}
-		idLen, err := br.ReadByte()
-		if err != nil || int(idLen) > len(toID) {
-			return
-		}
-		if _, err := io.ReadFull(br, toID[:idLen]); err != nil {
-			return
-		}
-		respType, err := br.ReadByte()
-		if err != nil {
-			return
-		}
-		frame, err = wire.ReadFrame(br, frame)
-		if err != nil {
-			return
-		}
-		req := reqs.get(wire.Type(frame[4])) // ReadFrame returns at least [len][type]
-		if req == nil {
-			return
-		}
-		if _, err := dec.Frame(frame, req); err != nil {
-			return
-		}
-		target := t.m.NodeAt(netsim.Addr(toAddr))
-		ok := target != nil && target.id.EqualDigits(toID[:idLen])
-		if ok && kind == 0 {
-			ok = target.state.load() != stateDead
-		}
-		if !ok {
-			if err := bw.WriteByte(1); err != nil {
-				return
-			}
-			if err := bw.Flush(); err != nil {
-				return
-			}
-			continue
-		}
-		if err := bw.WriteByte(0); err != nil {
-			return
-		}
-		if kind == 0 {
-			resp := resps.get(wire.Type(respType))
-			if resp == nil {
-				return
-			}
-			// A *netsim.Cost cannot cross a socket: peer-side work runs
-			// uncharged here (see the file comment).
-			target.dispatch(req, resp, nil)
-			out.Reset()
-			out.Frame(resp)
-			if _, err := bw.Write(out.Bytes()); err != nil {
-				return
-			}
-		} else {
-			target.dispatch(req, nil, nil)
-		}
-		if t.afterDispatch != nil {
-			t.afterDispatch(req)
-		}
-		if err := bw.Flush(); err != nil {
-			return
-		}
-	}
-}
-
-func (t *tcpTransport) getConn() (*tcpConn, error) {
-	select {
-	case c := <-t.conns:
-		return c, nil
-	default:
-		conn, err := net.Dial("tcp", t.ln.Addr().String())
-		if err != nil {
-			return nil, err
-		}
-		return &tcpConn{Conn: conn, br: bufio.NewReader(conn)}, nil
-	}
-}
-
-func (t *tcpTransport) putConn(c *tcpConn) {
-	if t.closed.Load() {
-		c.Close()
-		return
-	}
-	select {
-	case t.conns <- c:
-	default:
-		c.Close()
-	}
-}
-
-// exchange performs one bounded request/reply on a pooled connection: header
-// and framed request out, status byte in and — for an invoke the peer
-// accepted — the framed response decoded into resp (nil for a one-way). A
-// connection that fails or times out anywhere is closed, never re-pooled: a
-// late reply would otherwise be read as the answer to the next request.
-func (t *tcpTransport) exchange(kind byte, to route.Entry, req, resp wire.Msg) (status byte, err error) {
-	c, err := t.getConn()
-	if err != nil {
-		return 0, err
-	}
-	defer func() {
-		if err != nil {
-			c.Close()
-		} else {
-			t.putConn(c)
-		}
-	}()
-	if err = c.SetDeadline(time.Now().Add(t.timeout)); err != nil {
-		return 0, err
-	}
-	respType := wire.Type(0)
-	if resp != nil {
-		respType = resp.WireType()
-	}
-	c.out.Reset()
-	c.out.U8(kind)
-	c.out.Int(int(to.Addr))
-	c.out.ID(to.ID)
-	c.out.U8(byte(respType))
-	c.out.Frame(req)
-	if _, err = c.Write(c.out.Bytes()); err != nil {
-		return 0, err
-	}
-	if status, err = c.br.ReadByte(); err != nil || status != 0 || resp == nil {
-		return status, err
-	}
-	if c.in, err = wire.ReadFrame(c.br, c.in); err != nil {
-		return 0, err
-	}
-	_, err = c.dec.Frame(c.in, resp)
-	return 0, err
-}
-
-func (t *tcpTransport) Invoke(from netsim.Addr, to route.Entry, req, resp wire.Msg, cost *netsim.Cost, hop bool) (*Node, error) {
-	if err := t.m.net.Send(from, to.Addr, cost, hop); err != nil {
-		return nil, &PeerError{To: to, Err: err}
-	}
-	status, err := t.exchange(0, to, req, resp)
-	if err != nil {
-		return nil, &PeerError{To: to, Err: err}
-	}
-	if status != 0 {
-		return nil, &PeerError{To: to, Err: errDead}
-	}
-	// Response leg, charged exactly where the direct path charges it: only
-	// after the peer proved live.
-	_ = t.m.net.Send(to.Addr, from, cost, false)
-	return t.resolve(to)
-}
-
-func (t *tcpTransport) OneWay(from netsim.Addr, to route.Entry, msg wire.Msg, cost *netsim.Cost) (*Node, error) {
-	if err := t.m.net.Send(from, to.Addr, cost, false); err != nil {
-		return nil, &PeerError{To: to, Err: err}
-	}
-	status, err := t.exchange(1, to, msg, nil)
-	if err != nil {
-		return nil, &PeerError{To: to, Err: err}
-	}
-	if status != 0 {
-		return nil, &PeerError{To: to, Err: errDead}
-	}
-	return t.resolve(to)
-}
-
-// resolve hands the walk drivers the in-process node behind an entry the
-// peer just answered for.
-func (t *tcpTransport) resolve(to route.Entry) (*Node, error) {
-	target := t.m.NodeAt(to.Addr)
-	if target == nil || !target.id.Equal(to.ID) {
-		return nil, &PeerError{To: to, Err: errDead}
-	}
-	return target, nil
+func (t *tcpTransport) deliver(target *Node, req, resp wire.Msg, cost *netsim.Cost) error {
+	return t.client.Exchange(target.addr, target.id, req, resp, cost)
 }
 
 func (t *tcpTransport) Close() error {
-	if t.closed.Swap(true) {
-		return nil
+	t.client.Close()
+	if err := t.ln.Close(); err != nil && !errors.Is(err, net.ErrClosed) {
+		return err
 	}
-	err := t.ln.Close()
-	for {
-		select {
-		case c := <-t.conns:
-			c.Close()
-		default:
-			return err
-		}
-	}
+	return nil
 }

@@ -13,6 +13,7 @@ import (
 	"tapestry/internal/metric"
 	"tapestry/internal/netsim"
 	"tapestry/internal/route"
+	"tapestry/internal/wire"
 )
 
 // buildMeshTransport is buildMesh with an explicit transport backend.
@@ -68,10 +69,7 @@ func TestDeadPeerErrorUniform(t *testing.T) {
 		if !pe.To.ID.Equal(ve.ID) {
 			t.Errorf("%v: PeerError.To = %v, want %v", k, pe.To.ID, ve.ID)
 		}
-		if k != TransportTCP && !errors.Is(err, netsim.ErrUnreachable) {
-			// TCP reports the same failure via the simulated-network charge
-			// too, so this holds there as well — but keep the assertion on
-			// the deterministic backends where the cause is fully specified.
+		if !errors.Is(err, netsim.ErrUnreachable) {
 			t.Errorf("%v: cause %v, want netsim.ErrUnreachable", k, pe.Err)
 		}
 
@@ -243,12 +241,12 @@ func poolDropsItems() bool {
 	return false
 }
 
-// TestTCPExchangeTimeout drives the TCP client against a listener that
-// accepts and never answers: every exchange must come back within the bound
-// as a *PeerError wrapping a timeout, and the connection it hung on must be
-// closed rather than pooled for the next caller to hang on.
-func TestTCPExchangeTimeout(t *testing.T) {
-	m, nodes := buildMeshTransport(t, 8, 3, TransportDirect) // charges and resolves; carries no message
+// hungPeer listens and accepts, and never answers. closed stops it and
+// returns the connections it saw, each of which the caller it hung must have
+// closed: the peer reads the request it never answered and then EOF, not a
+// connection still open for reuse.
+func hungPeer(t *testing.T) (addr string, closed func() int) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -265,12 +263,43 @@ func TestTCPExchangeTimeout(t *testing.T) {
 			held = append(held, c)
 		}
 	}()
-	tr := &tcpTransport{m: m, ln: ln, conns: make(chan *tcpConn, 64), timeout: 40 * time.Millisecond}
+	return ln.Addr().String(), func() int {
+		ln.Close()
+		held := <-accepted
+		for _, c := range held {
+			c.SetReadDeadline(time.Now().Add(5 * time.Second))
+			buf := make([]byte, 256)
+			for {
+				if _, err := c.Read(buf); err != nil {
+					if ne, ok := err.(net.Error); ok && ne.Timeout() {
+						t.Error("a timed-out connection is still open on the caller's side")
+					}
+					break
+				}
+			}
+			c.Close()
+		}
+		return len(held)
+	}
+}
+
+// TestTCPExchangeTimeout points a TCP mesh's client at a listener that
+// accepts and never answers: every message must come back from m.invoke and
+// m.oneWayMsg within the bound as a *PeerError wrapping a timeout, and the
+// connection it hung on must be closed rather than pooled for the next caller
+// to hang on — the peer sees one connection per exchange.
+func TestTCPExchangeTimeout(t *testing.T) {
+	m, nodes := buildMeshTransport(t, 8, 3, TransportTCP)
+	addr, closed := hungPeer(t)
+	tr := m.tr.(*tcpTransport)
+	tr.client.Close()
+	tr.client = wire.NewClient(addr)
+	tr.client.Timeout = 40 * time.Millisecond
 	from, peer := nodes[0], nodes[1].entryFor(nodes[0].addr)
 	for i, call := range []func() (*Node, error){
-		func() (*Node, error) { return tr.Invoke(from.addr, peer, msgPing, msgAck, nil, false) },
-		func() (*Node, error) { return tr.OneWay(from.addr, peer, msgPing, nil) },
-		func() (*Node, error) { return tr.Invoke(from.addr, peer, msgPing, msgAck, nil, false) },
+		func() (*Node, error) { return m.invoke(from.addr, peer, msgPing, msgAck, nil, false) },
+		func() (*Node, error) { return m.oneWayMsg(from.addr, peer, msgPing, nil) },
+		func() (*Node, error) { return m.invoke(from.addr, peer, msgPing, msgAck, nil, false) },
 	} {
 		start := time.Now()
 		_, err := call()
@@ -280,32 +309,45 @@ func TestTCPExchangeTimeout(t *testing.T) {
 			t.Fatalf("exchange %d: err = %v, want a *PeerError wrapping a timeout", i, err)
 		}
 		if d := time.Since(start); d > 5*time.Second {
-			t.Errorf("exchange %d took %v against a %v bound", i, d, tr.timeout)
-		}
-		if n := len(tr.conns); n != 0 {
-			t.Fatalf("exchange %d: %d connections pooled after a timeout, want 0", i, n)
+			t.Errorf("exchange %d took %v against a %v bound", i, d, tr.client.Timeout)
 		}
 	}
-	if err := tr.Close(); err != nil {
+	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	held := <-accepted
-	if len(held) != 3 {
-		t.Errorf("the hung peer saw %d connections, want one per exchange (3)", len(held))
+	if n := closed(); n != 3 {
+		t.Errorf("the hung peer saw %d connections, want one per exchange (3)", n)
 	}
-	for _, c := range held {
-		// The client closed its end: the peer reads the request it never
-		// answered and then EOF, not a connection still open for reuse.
-		c.SetReadDeadline(time.Now().Add(5 * time.Second))
-		buf := make([]byte, 256)
-		for {
-			if _, err := c.Read(buf); err != nil {
-				if ne, ok := err.(net.Error); ok && ne.Timeout() {
-					t.Error("a timed-out connection is still open on the client side")
-				}
-				break
+}
+
+// TestHandlerCostCrossesSocket: a Leave and a Join run most of their traffic
+// inside handlers (notifications, repairs, backpointer updates). On every
+// transport, TCP included, the Cost they report is exactly what the network
+// counted while they ran.
+func TestHandlerCostCrossesSocket(t *testing.T) {
+	for _, k := range allTransports {
+		m, nodes := buildMeshTransport(t, 32, 5, k)
+		rng := rand.New(rand.NewSource(6))
+		for i := 0; i < 8; i++ {
+			if err := nodes[i*3].Publish(testSpec.Random(rng), nil); err != nil {
+				t.Fatalf("%v: publish: %v", k, err)
 			}
 		}
-		c.Close()
+		before := m.net.TotalMessages()
+		var leave netsim.Cost
+		if err := nodes[3].Leave(&leave); err != nil {
+			t.Fatalf("%v: leave: %v", k, err)
+		}
+		if sent := m.net.TotalMessages() - before; int64(leave.Messages()) != sent || sent == 0 {
+			t.Errorf("%v: the leave reports %d messages, the network counted %d", k, leave.Messages(), sent)
+		}
+		before = m.net.TotalMessages()
+		_, join, err := m.Join(nodes[0], m.freshID(rng), freeAddr(m))
+		if err != nil {
+			t.Fatalf("%v: join: %v", k, err)
+		}
+		if sent := m.net.TotalMessages() - before; int64(join.Messages()) != sent || sent == 0 {
+			t.Errorf("%v: the join reports %d messages, the network counted %d", k, join.Messages(), sent)
+		}
 	}
 }

@@ -108,6 +108,27 @@ func (c *Cost) addDistance(d float64) {
 	}
 }
 
+// Charge adds a whole sub-total at once: what a peer's handler spent on the
+// far side of a socket, reported back in the reply.
+func (c *Cost) Charge(messages, hops int, distance float64) {
+	if c == nil {
+		return
+	}
+	c.messages.Add(int64(messages))
+	c.hops.Add(int64(hops))
+	c.addDistance(distance)
+}
+
+// Reset zeroes c, so one Cost can meter request after request.
+func (c *Cost) Reset() {
+	c.messages.Store(0)
+	c.hops.Store(0)
+	c.distance.Store(0)
+	c.vset.Store(false)
+	c.vbegin.Store(0)
+	c.vend.Store(0)
+}
+
 // Stamp records the event clock against the op: the first stamp fixes the
 // op's virtual start, every stamp advances its virtual end. The event-driven
 // backend stamps each message's send and delivery times; direct-call
@@ -148,10 +169,7 @@ func (c *Cost) Merge(other *Cost) {
 	if c == nil || other == nil {
 		return
 	}
-	m, h, d := other.Snapshot()
-	c.messages.Add(int64(m))
-	c.hops.Add(int64(h))
-	c.addDistance(d)
+	c.Charge(other.Snapshot())
 	if begin, end, ok := other.VirtualSpan(); ok {
 		// Widen c's span rather than re-stamping: the sub-operation may have
 		// started before (or ended after) anything c has seen.

@@ -2,10 +2,12 @@
 // state and protocol handlers behind cmd/tapestry-node. Each daemon hosts one
 // Tapestry node — a static routing table, an object-pointer map and a served
 // set — and speaks the wire cluster protocol (internal/wire, types 40+) over
-// TCP: the examples/cluster harness installs each node's table and endpoint
-// book, then publish and locate walks forward daemon-to-daemon using ordinary
-// surrogate routing, exactly the prefix-by-prefix descent of internal/core
-// but with every hop a real socket exchange.
+// the framed-TCP stack the core mesh's own TCP transport uses (wire/tcp.go: a
+// wire.Server over the daemon's listener, a wire.Client per peer): the
+// examples/cluster harness installs each node's table and endpoint book, then
+// publish and locate walks forward daemon-to-daemon using ordinary surrogate
+// routing, exactly the prefix-by-prefix descent of internal/core but with
+// every hop a real socket exchange.
 //
 // The daemon deliberately reuses the single-process building blocks rather
 // than reimplementing them: identifiers and surrogate order from
@@ -19,21 +21,12 @@ package procnode
 
 import (
 	"fmt"
-	"net"
 	"sync"
-	"time"
 
 	"tapestry/internal/ids"
 	"tapestry/internal/netsim"
 	"tapestry/internal/route"
 	"tapestry/internal/wire"
-)
-
-// dialTimeout and exchangeTimeout bound a forwarded hop; a locate that spans
-// d hops holds d nested exchanges, so the budget is generous.
-const (
-	dialTimeout     = 5 * time.Second
-	exchangeTimeout = 60 * time.Second
 )
 
 // pointer is one deposited object pointer: the GUID's storage server.
@@ -43,81 +36,68 @@ type pointer struct {
 }
 
 // Node is one daemon-hosted overlay node. The zero state answers every walk
-// with "not found"; ClusterInstall provisions it.
+// with "not found"; ClusterInstall provisions it. It is the wire.Host a
+// wire.Server serves and the wire.Handler of every request that reaches it.
 type Node struct {
 	mu     sync.Mutex
 	self   route.Entry
 	table  *route.Table
-	eps    map[netsim.Addr]string // overlay address -> daemon host:port
-	served map[ids.ID]struct{}    // GUIDs stored at this node
-	ptrs   map[ids.ID]pointer     // GUID -> pointer toward its server
+	peers  map[netsim.Addr]*wire.Client // the address book: a client per peer daemon
+	served map[ids.ID]struct{}          // GUIDs stored at this node
+	ptrs   map[ids.ID]pointer           // GUID -> pointer toward its server
 }
 
 // New returns an empty daemon node awaiting a ClusterInstall.
 func New() *Node {
 	return &Node{
-		eps:    make(map[netsim.Addr]string),
+		peers:  make(map[netsim.Addr]*wire.Client),
 		served: make(map[ids.ID]struct{}),
 		ptrs:   make(map[ids.ID]pointer),
 	}
 }
 
-// Serve accepts connections until the listener closes. Each connection
-// carries a sequence of framed request/response pairs; connections are
-// independent, so the harness and forwarding peers may overlap freely.
-func (n *Node) Serve(ln net.Listener) error {
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			return err
-		}
-		go n.serveConn(c)
-	}
-}
-
-func (n *Node) serveConn(c net.Conn) {
-	defer c.Close()
-	var rbuf, wbuf []byte
-	for {
-		frame, err := wire.ReadFrame(c, rbuf)
-		rbuf = frame
-		if err != nil {
-			return
-		}
-		req, _, err := wire.DecodeFrame(frame)
-		if err != nil {
-			return
-		}
-		resp := n.handle(req)
-		if resp == nil {
-			return // not a cluster request: drop the connection
-		}
-		if wbuf, err = wire.WriteMsg(c, wbuf, resp); err != nil {
-			return
-		}
-	}
-}
-
-// handle dispatches one request and returns its reply (nil = protocol error).
-func (n *Node) handle(req wire.Msg) wire.Msg {
-	switch m := req.(type) {
-	case *wire.ClusterInstall:
-		n.install(m)
-		return &wire.ClusterAck{}
-	case *wire.ClusterServe:
-		n.mu.Lock()
-		for _, g := range m.GUIDs {
-			n.served[g] = struct{}{}
-		}
-		n.mu.Unlock()
-		return &wire.ClusterAck{}
-	case *wire.ClusterPublish:
-		return n.publish(m)
-	case *wire.ClusterLocate:
-		return n.locate(m)
-	default:
+// Lookup accepts a request addressed to this daemon's node or to nobody (no
+// digits — all a harness can say before ClusterInstall has named the node),
+// and refuses one addressed to an ID the daemon does not host.
+func (n *Node) Lookup(_ bool, _ netsim.Addr, id []ids.Digit) wire.Handler {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if len(id) != 0 && !n.self.ID.EqualDigits(id) {
 		return nil
 	}
+	return n
+}
+
+// Handle dispatches one request, filling the reply its sender asked for. Any
+// other pairing is not the cluster protocol: the connection is dropped.
+func (n *Node) Handle(req, resp wire.Msg, _ *netsim.Cost) error {
+	switch m := req.(type) {
+	case *wire.ClusterInstall:
+		if _, ok := resp.(*wire.ClusterAck); ok {
+			n.install(m)
+			return nil
+		}
+	case *wire.ClusterServe:
+		if _, ok := resp.(*wire.ClusterAck); ok {
+			n.mu.Lock()
+			for _, g := range m.GUIDs {
+				n.served[g] = struct{}{}
+			}
+			n.mu.Unlock()
+			return nil
+		}
+	case *wire.ClusterPublish:
+		if r, ok := resp.(*wire.ClusterPubDone); ok {
+			n.publish(m, r)
+			return nil
+		}
+	case *wire.ClusterLocate:
+		if r, ok := resp.(*wire.ClusterFound); ok {
+			n.locate(m, r)
+			return nil
+		}
+	}
+	return fmt.Errorf("procnode: %T/%T is not a cluster exchange", req, resp)
 }
 
 // install provisions identity, routing table and the cluster address book.
@@ -131,9 +111,12 @@ func (n *Node) install(m *wire.ClusterInstall) {
 	defer n.mu.Unlock()
 	n.self = m.Self
 	n.table = t
-	clear(n.eps)
+	for a, c := range n.peers {
+		c.Close()
+		delete(n.peers, a)
+	}
 	for _, ep := range m.Endpoints {
-		n.eps[ep.Addr] = ep.HostPort
+		n.peers[ep.Addr] = wire.NewClient(ep.HostPort)
 	}
 }
 
@@ -148,87 +131,59 @@ func (n *Node) nextHop(key ids.ID, level int) (next route.Entry, nextLevel int, 
 	return n.table.NextHop(key, level, nil)
 }
 
+// forward passes a walk's message on to the daemon hosting next and has the
+// reply decoded straight into resp, relaying it down the chain.
+func (n *Node) forward(next route.Entry, req, resp wire.Msg) error {
+	n.mu.Lock()
+	c := n.peers[next.Addr]
+	n.mu.Unlock()
+	if c == nil {
+		return fmt.Errorf("procnode: no endpoint for overlay address %d", next.Addr)
+	}
+	return c.Exchange(next.Addr, next.ID, req, resp, nil)
+}
+
 // publish handles one hop of a publish walk: deposit the pointer, then
-// either terminate (this node is the root) or forward and relay the
-// confirmation back down the chain. A zero Root in the reply reports a
-// broken walk.
-func (n *Node) publish(m *wire.ClusterPublish) wire.Msg {
+// either terminate (this node is the root) or forward. A zero Root in the
+// reply reports a broken walk.
+func (n *Node) publish(m *wire.ClusterPublish, done *wire.ClusterPubDone) {
 	n.mu.Lock()
 	n.ptrs[m.GUID] = pointer{server: m.Server, addr: m.ServerAddr}
 	next, level, terminal := n.nextHop(m.Key, m.Level)
 	self := n.self
 	n.mu.Unlock()
 	if terminal {
-		return &wire.ClusterPubDone{Root: self.ID}
+		*done = wire.ClusterPubDone{Root: self.ID}
+		return
 	}
-	fwd := *m
-	fwd.Level = level
-	resp, err := n.exchange(next.Addr, &fwd, wire.TClusterPubDone)
-	if err != nil {
-		return &wire.ClusterPubDone{}
+	m.Level = level // the request is this handler's until it returns
+	if err := n.forward(next, m, done); err != nil {
+		*done = wire.ClusterPubDone{}
 	}
-	return resp
 }
 
 // locate handles one hop of a locate walk: answer from the served set or the
 // pointer map, or forward toward the key's root. Reaching the root without a
 // pointer is an authoritative miss.
-func (n *Node) locate(m *wire.ClusterLocate) wire.Msg {
+func (n *Node) locate(m *wire.ClusterLocate, found *wire.ClusterFound) {
 	n.mu.Lock()
-	if _, ok := n.served[m.GUID]; ok {
-		self := n.self
-		n.mu.Unlock()
-		return &wire.ClusterFound{Found: true, Server: self.ID, ServerAddr: self.Addr, Hops: m.Hops}
-	}
-	if p, ok := n.ptrs[m.GUID]; ok {
-		n.mu.Unlock()
-		// One more hop: the jump from the pointer to the server itself.
-		return &wire.ClusterFound{Found: true, Server: p.server, ServerAddr: p.addr, Hops: m.Hops + 1}
-	}
+	_, serves := n.served[m.GUID]
+	p, points := n.ptrs[m.GUID]
 	next, level, terminal := n.nextHop(m.Key, m.Level)
+	self := n.self
 	n.mu.Unlock()
-	if terminal {
-		return &wire.ClusterFound{Hops: m.Hops}
+	switch {
+	case serves:
+		*found = wire.ClusterFound{Found: true, Server: self.ID, ServerAddr: self.Addr, Hops: m.Hops}
+	case points:
+		// One more hop: the jump from the pointer to the server itself.
+		*found = wire.ClusterFound{Found: true, Server: p.server, ServerAddr: p.addr, Hops: m.Hops + 1}
+	case terminal:
+		*found = wire.ClusterFound{Hops: m.Hops}
+	default:
+		m.Level, m.Hops = level, m.Hops+1
+		if err := n.forward(next, m, found); err != nil {
+			*found = wire.ClusterFound{}
+		}
 	}
-	fwd := *m
-	fwd.Level, fwd.Hops = level, m.Hops+1
-	resp, err := n.exchange(next.Addr, &fwd, wire.TClusterFound)
-	if err != nil {
-		return &wire.ClusterFound{}
-	}
-	return resp
-}
-
-// exchange performs one request/response round trip with the daemon hosting
-// the given overlay address. Connections are per-exchange: walks are short
-// and the kernel's loopback handshake is cheap, so a conn pool would buy
-// little for an example-scale cluster.
-func (n *Node) exchange(to netsim.Addr, req wire.Msg, want wire.Type) (wire.Msg, error) {
-	n.mu.Lock()
-	hp, ok := n.eps[to]
-	n.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("procnode: no endpoint for overlay address %d", to)
-	}
-	c, err := net.DialTimeout("tcp", hp, dialTimeout)
-	if err != nil {
-		return nil, err
-	}
-	defer c.Close()
-	_ = c.SetDeadline(time.Now().Add(exchangeTimeout))
-	if _, err := wire.WriteMsg(c, nil, req); err != nil {
-		return nil, err
-	}
-	frame, err := wire.ReadFrame(c, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, _, err := wire.DecodeFrame(frame)
-	if err != nil {
-		return nil, err
-	}
-	if resp.WireType() != want {
-		return nil, fmt.Errorf("procnode: reply type %v, want %v", resp.WireType(), want)
-	}
-	return resp, nil
 }

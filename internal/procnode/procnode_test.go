@@ -1,10 +1,13 @@
 package procnode
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"testing"
+	"time"
 
 	"tapestry/internal/core"
 	"tapestry/internal/ids"
@@ -57,21 +60,37 @@ func installFor(m *core.Mesh, n *core.Node, eps []wire.Endpoint) *wire.ClusterIn
 	return inst
 }
 
-// exchange is the harness side of one control round trip.
-func exchange(t *testing.T, c net.Conn, req wire.Msg) wire.Msg {
+// daemon boots one daemon on a loopback socket and returns its address.
+func daemon(t *testing.T) string {
 	t.Helper()
-	if _, err := wire.WriteMsg(c, nil, req); err != nil {
-		t.Fatal(err)
-	}
-	frame, err := wire.ReadFrame(c, nil)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, _, err := wire.DecodeFrame(frame)
-	if err != nil {
-		t.Fatal(err)
+	t.Cleanup(func() { ln.Close() })
+	srv := wire.Server{Host: New()}
+	go srv.Serve(ln)
+	return ln.Addr().String()
+}
+
+// cluster boots one daemon per oracle node and provisions it, returning the
+// harness's client of each.
+func cluster(t *testing.T, m *core.Mesh, nodes []*core.Node) []*wire.Client {
+	t.Helper()
+	clients := make([]*wire.Client, len(nodes))
+	eps := make([]wire.Endpoint, len(nodes))
+	for i, n := range nodes {
+		eps[i] = wire.Endpoint{Addr: n.Addr(), HostPort: daemon(t)}
+		clients[i] = wire.NewClient(eps[i].HostPort)
+		t.Cleanup(clients[i].Close)
 	}
-	return resp
+	for i, n := range nodes {
+		// Unaddressed: the daemon has no identity until this lands.
+		if err := clients[i].Exchange(n.Addr(), ids.ID{}, installFor(m, n, eps), &wire.ClusterAck{}, nil); err != nil {
+			t.Fatalf("daemon %d refused its install: %v", i, err)
+		}
+	}
+	return clients
 }
 
 // TestClusterMatchesInProcessMesh boots three daemons on loopback sockets,
@@ -80,26 +99,11 @@ func exchange(t *testing.T, c net.Conn, req wire.Msg) wire.Msg {
 // server and hop count the in-process mesh answers with.
 func TestClusterMatchesInProcessMesh(t *testing.T) {
 	m, nodes := staticMesh(t, 3, 7)
-	conns := make([]net.Conn, len(nodes))
-	eps := make([]wire.Endpoint, len(nodes))
-	for i, n := range nodes {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ln.Close() })
-		go New().Serve(ln)
-		eps[i] = wire.Endpoint{Addr: n.Addr(), HostPort: ln.Addr().String()}
-	}
-	for i, n := range nodes {
-		c, err := net.Dial("tcp", eps[i].HostPort)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { c.Close() })
-		conns[i] = c
-		if _, ok := exchange(t, c, installFor(m, n, eps)).(*wire.ClusterAck); !ok {
-			t.Fatalf("daemon %d refused its install", i)
+	clients := cluster(t, m, nodes)
+	exchange := func(i int, req, resp wire.Msg) {
+		t.Helper()
+		if err := clients[i].Exchange(nodes[i].Addr(), nodes[i].ID(), req, resp, nil); err != nil {
+			t.Fatalf("daemon %d: %T: %v", i, req, err)
 		}
 	}
 
@@ -108,8 +112,9 @@ func TestClusterMatchesInProcessMesh(t *testing.T) {
 	for s, n := range nodes {
 		g := testSpec.Hash(fmt.Sprintf("object-%d", s))
 		guids[s] = g
-		exchange(t, conns[s], &wire.ClusterServe{GUIDs: []ids.ID{g}})
-		done := exchange(t, conns[s], &wire.ClusterPublish{GUID: g, Key: g, Server: n.ID(), ServerAddr: n.Addr()}).(*wire.ClusterPubDone)
+		exchange(s, &wire.ClusterServe{GUIDs: []ids.ID{g}}, &wire.ClusterAck{})
+		var done wire.ClusterPubDone
+		exchange(s, &wire.ClusterPublish{GUID: g, Key: g, Server: n.ID(), ServerAddr: n.Addr()}, &done)
 		root, _, err := n.SurrogateFor(g, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -123,7 +128,8 @@ func TestClusterMatchesInProcessMesh(t *testing.T) {
 	}
 	for s, g := range guids {
 		for c, client := range nodes {
-			got := exchange(t, conns[c], &wire.ClusterLocate{GUID: g, Key: g}).(*wire.ClusterFound)
+			var got wire.ClusterFound
+			exchange(c, &wire.ClusterLocate{GUID: g, Key: g}, &got)
 			want := client.Locate(g, nil)
 			// A walk that reaches the storing daemon itself is answered from
 			// its served set; the mesh counts the replica verification as a
@@ -163,5 +169,93 @@ func TestNextHopMatchesCore(t *testing.T) {
 	// An unprovisioned daemon is the root of everything.
 	if _, _, terminal := New().nextHop(testSpec.Random(rng), 0); !terminal {
 		t.Error("a daemon without a table forwarded a walk")
+	}
+}
+
+// TestDaemonRefusesAnotherID: a request addressed to an identifier the daemon
+// does not host is a status-1 reply — wire.ErrPeerGone, the cause core's
+// callers find inside their *PeerError — on a connection that stays usable,
+// and a pair that is not the cluster protocol drops the connection.
+func TestDaemonRefusesAnotherID(t *testing.T) {
+	m, nodes := staticMesh(t, 3, 7)
+	clients := cluster(t, m, nodes)
+	g := testSpec.Hash("refused")
+	var found wire.ClusterFound
+	err := clients[0].Exchange(nodes[0].Addr(), nodes[1].ID(), &wire.ClusterLocate{GUID: g, Key: g}, &found, nil)
+	if !errors.Is(err, wire.ErrPeerGone) {
+		t.Fatalf("a locate addressed to another daemon's ID: err = %v, want wire.ErrPeerGone", err)
+	}
+	if err := clients[0].Exchange(nodes[0].Addr(), nodes[0].ID(), &wire.ClusterLocate{GUID: g, Key: g}, &found, nil); err != nil || found.Found {
+		t.Fatalf("after a refusal: err = %v, found = %+v, want a clean miss", err, found)
+	}
+	if err := clients[0].Exchange(nodes[0].Addr(), nodes[0].ID(), &wire.ClusterLocate{GUID: g, Key: g}, &wire.ClusterAck{}, nil); err == nil || errors.Is(err, wire.ErrPeerGone) {
+		t.Fatalf("a locate asking for an Ack: err = %v, want a dropped connection", err)
+	}
+}
+
+// TestDaemonExchangeTimeout is core's TestTCPExchangeTimeout against a
+// daemon's own client: a peer that accepts and never answers costs a
+// forwarding daemon one bounded wait per walk — reported as a broken walk —
+// and the connection it hung on is closed, not pooled.
+func TestDaemonExchangeTimeout(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted := make(chan []net.Conn)
+	go func() {
+		var held []net.Conn
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				accepted <- held
+				return
+			}
+			held = append(held, c)
+		}
+	}()
+	m, nodes := staticMesh(t, 3, 7)
+	eps := make([]wire.Endpoint, len(nodes))
+	for i, n := range nodes {
+		eps[i] = wire.Endpoint{Addr: n.Addr(), HostPort: ln.Addr().String()} // every peer is the hung one
+	}
+	d := New()
+	d.install(installFor(m, nodes[0], eps))
+	for _, c := range d.peers {
+		c.Timeout = 40 * time.Millisecond
+	}
+	// A key another node roots, so the walk must forward.
+	var key ids.ID
+	for i := 0; ; i++ {
+		key = testSpec.Hash(fmt.Sprintf("elsewhere-%d", i))
+		if _, _, terminal := d.nextHop(key, 0); !terminal {
+			break
+		}
+	}
+	const walks = 3
+	for i := 0; i < walks; i++ {
+		start := time.Now()
+		done := wire.ClusterPubDone{Root: nodes[0].ID()}
+		d.publish(&wire.ClusterPublish{GUID: key, Key: key, Server: nodes[0].ID(), ServerAddr: nodes[0].Addr()}, &done)
+		if !done.Root.IsZero() {
+			t.Fatalf("walk %d through a hung peer reports root %v, want a broken walk", i, done.Root)
+		}
+		if el := time.Since(start); el > 5*time.Second {
+			t.Errorf("walk %d took %v against a 40ms bound", i, el)
+		}
+	}
+	ln.Close()
+	held := <-accepted
+	if len(held) != walks {
+		t.Errorf("the hung peer saw %d connections, want one per walk (%d)", len(held), walks)
+	}
+	for _, c := range held {
+		// The daemon closed its end: the peer reads the request it never
+		// answered and then EOF, not a connection still open for reuse.
+		c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := io.Copy(io.Discard, c); err != nil {
+			t.Errorf("a timed-out connection is still open on the daemon's side: %v", err)
+		}
+		c.Close()
 	}
 }

@@ -47,171 +47,83 @@ const (
 	TClusterFound   Type = 46
 )
 
+// catalogue is the one list of defined messages, in wire order: what a type is
+// called and how a fresh struct of it is made. String, Types and New read it.
+var catalogue = [...]struct {
+	t     Type
+	name  string
+	fresh func() Msg
+}{
+	{TPing, "Ping", func() Msg { return new(Ping) }},
+	{TAck, "Ack", func() Msg { return new(Ack) }},
+	{TRouteStep, "RouteStep", func() Msg { return new(RouteStep) }},
+	{TMatchQueryReq, "MatchQueryReq", func() Msg { return new(MatchQueryReq) }},
+	{TMatchQueryResp, "MatchQueryResp", func() Msg { return new(MatchQueryResp) }},
+	{TTableBandReq, "TableBandReq", func() Msg { return new(TableBandReq) }},
+	{TTableBandResp, "TableBandResp", func() Msg { return new(TableBandResp) }},
+	{TShareReq, "ShareReq", func() Msg { return new(ShareReq) }},
+	{TShareResp, "ShareResp", func() Msg { return new(ShareResp) }},
+	{TLocateStep, "LocateStep", func() Msg { return new(LocateStep) }},
+	{TVerifyReq, "VerifyReq", func() Msg { return new(VerifyReq) }},
+	{TVerifyResp, "VerifyResp", func() Msg { return new(VerifyResp) }},
+	{TDeleteBack, "DeleteBack", func() Msg { return new(DeleteBack) }},
+	{TBackAdd, "BackAdd", func() Msg { return new(BackAdd) }},
+	{TBackRemove, "BackRemove", func() Msg { return new(BackRemove) }},
+	{TMcastStep, "McastStep", func() Msg { return new(McastStep) }},
+	{TMcastNotify, "McastNotify", func() Msg { return new(McastNotify) }},
+	{TJoinSnapshotReq, "JoinSnapshotReq", func() Msg { return new(JoinSnapshotReq) }},
+	{TJoinSnapshotResp, "JoinSnapshotResp", func() Msg { return new(JoinSnapshotResp) }},
+	{TReacquireReq, "ReacquireReq", func() Msg { return new(ReacquireReq) }},
+	{TCaravanStep, "CaravanStep", func() Msg { return new(CaravanStep) }},
+	{TLeaveNotify, "LeaveNotify", func() Msg { return new(LeaveNotify) }},
+	{TNodeDeleted, "NodeDeleted", func() Msg { return new(NodeDeleted) }},
+	{TDropLinks, "DropLinks", func() Msg { return new(DropLinks) }},
+	{TLocalStep, "LocalStep", func() Msg { return new(LocalStep) }},
+	{TPtrForward, "PtrForward", func() Msg { return new(PtrForward) }},
+	{TPublishReq, "PublishReq", func() Msg { return new(PublishReq) }},
+	{TClusterInstall, "ClusterInstall", func() Msg { return new(ClusterInstall) }},
+	{TClusterAck, "ClusterAck", func() Msg { return new(ClusterAck) }},
+	{TClusterServe, "ClusterServe", func() Msg { return new(ClusterServe) }},
+	{TClusterPublish, "ClusterPublish", func() Msg { return new(ClusterPublish) }},
+	{TClusterPubDone, "ClusterPubDone", func() Msg { return new(ClusterPubDone) }},
+	{TClusterLocate, "ClusterLocate", func() Msg { return new(ClusterLocate) }},
+	{TClusterFound, "ClusterFound", func() Msg { return new(ClusterFound) }},
+}
+
+// find returns t's row in the catalogue, or -1 if t is not a defined type.
+func find(t Type) int {
+	for i := range catalogue {
+		if catalogue[i].t == t {
+			return i
+		}
+	}
+	return -1
+}
+
 // String names the type for diagnostics and the golden format test.
 func (t Type) String() string {
-	switch t {
-	case TPing:
-		return "Ping"
-	case TAck:
-		return "Ack"
-	case TRouteStep:
-		return "RouteStep"
-	case TMatchQueryReq:
-		return "MatchQueryReq"
-	case TMatchQueryResp:
-		return "MatchQueryResp"
-	case TTableBandReq:
-		return "TableBandReq"
-	case TTableBandResp:
-		return "TableBandResp"
-	case TShareReq:
-		return "ShareReq"
-	case TShareResp:
-		return "ShareResp"
-	case TLocateStep:
-		return "LocateStep"
-	case TVerifyReq:
-		return "VerifyReq"
-	case TVerifyResp:
-		return "VerifyResp"
-	case TDeleteBack:
-		return "DeleteBack"
-	case TBackAdd:
-		return "BackAdd"
-	case TBackRemove:
-		return "BackRemove"
-	case TMcastStep:
-		return "McastStep"
-	case TMcastNotify:
-		return "McastNotify"
-	case TJoinSnapshotReq:
-		return "JoinSnapshotReq"
-	case TJoinSnapshotResp:
-		return "JoinSnapshotResp"
-	case TReacquireReq:
-		return "ReacquireReq"
-	case TCaravanStep:
-		return "CaravanStep"
-	case TLeaveNotify:
-		return "LeaveNotify"
-	case TNodeDeleted:
-		return "NodeDeleted"
-	case TDropLinks:
-		return "DropLinks"
-	case TLocalStep:
-		return "LocalStep"
-	case TPtrForward:
-		return "PtrForward"
-	case TPublishReq:
-		return "PublishReq"
-	case TClusterInstall:
-		return "ClusterInstall"
-	case TClusterAck:
-		return "ClusterAck"
-	case TClusterServe:
-		return "ClusterServe"
-	case TClusterPublish:
-		return "ClusterPublish"
-	case TClusterPubDone:
-		return "ClusterPubDone"
-	case TClusterLocate:
-		return "ClusterLocate"
-	case TClusterFound:
-		return "ClusterFound"
-	default:
-		return "Unknown"
+	if i := find(t); i >= 0 {
+		return catalogue[i].name
 	}
+	return "Unknown"
 }
 
 // Types lists every defined message type in wire order (the golden test and
 // fuzz corpus iterate it).
 func Types() []Type {
-	return []Type{
-		TPing, TAck, TRouteStep, TMatchQueryReq, TMatchQueryResp,
-		TTableBandReq, TTableBandResp, TShareReq, TShareResp, TLocateStep,
-		TVerifyReq, TVerifyResp, TDeleteBack, TBackAdd, TBackRemove,
-		TMcastStep, TMcastNotify, TJoinSnapshotReq, TJoinSnapshotResp,
-		TReacquireReq, TCaravanStep, TLeaveNotify, TNodeDeleted, TDropLinks,
-		TLocalStep, TPtrForward, TPublishReq,
-		TClusterInstall, TClusterAck, TClusterServe, TClusterPublish,
-		TClusterPubDone, TClusterLocate, TClusterFound,
+	out := make([]Type, len(catalogue))
+	for i := range catalogue {
+		out[i] = catalogue[i].t
 	}
+	return out
 }
 
 // New returns a fresh zero message of the given type, or nil if t is unknown.
 func New(t Type) Msg {
-	switch t {
-	case TPing:
-		return &Ping{}
-	case TAck:
-		return &Ack{}
-	case TRouteStep:
-		return &RouteStep{}
-	case TMatchQueryReq:
-		return &MatchQueryReq{}
-	case TMatchQueryResp:
-		return &MatchQueryResp{}
-	case TTableBandReq:
-		return &TableBandReq{}
-	case TTableBandResp:
-		return &TableBandResp{}
-	case TShareReq:
-		return &ShareReq{}
-	case TShareResp:
-		return &ShareResp{}
-	case TLocateStep:
-		return &LocateStep{}
-	case TVerifyReq:
-		return &VerifyReq{}
-	case TVerifyResp:
-		return &VerifyResp{}
-	case TDeleteBack:
-		return &DeleteBack{}
-	case TBackAdd:
-		return &BackAdd{}
-	case TBackRemove:
-		return &BackRemove{}
-	case TMcastStep:
-		return &McastStep{}
-	case TMcastNotify:
-		return &McastNotify{}
-	case TJoinSnapshotReq:
-		return &JoinSnapshotReq{}
-	case TJoinSnapshotResp:
-		return &JoinSnapshotResp{}
-	case TReacquireReq:
-		return &ReacquireReq{}
-	case TCaravanStep:
-		return &CaravanStep{}
-	case TLeaveNotify:
-		return &LeaveNotify{}
-	case TNodeDeleted:
-		return &NodeDeleted{}
-	case TDropLinks:
-		return &DropLinks{}
-	case TLocalStep:
-		return &LocalStep{}
-	case TPtrForward:
-		return &PtrForward{}
-	case TPublishReq:
-		return &PublishReq{}
-	case TClusterInstall:
-		return &ClusterInstall{}
-	case TClusterAck:
-		return &ClusterAck{}
-	case TClusterServe:
-		return &ClusterServe{}
-	case TClusterPublish:
-		return &ClusterPublish{}
-	case TClusterPubDone:
-		return &ClusterPubDone{}
-	case TClusterLocate:
-		return &ClusterLocate{}
-	case TClusterFound:
-		return &ClusterFound{}
-	default:
-		return nil
+	if i := find(t); i >= 0 {
+		return catalogue[i].fresh()
 	}
+	return nil
 }
 
 // RouteOp tags the purpose of a routing-walk step (diagnostics only; hop

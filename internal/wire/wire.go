@@ -379,7 +379,8 @@ func (d *Dec) Frame(b []byte, m Msg) (int, error) {
 // calls, so an Enc or Dec declared in the calling function escapes to the
 // heap — one object per message. The package-level entry points borrow a
 // pair from codecs instead; a transport that already owns per-connection or
-// per-operation scratch keeps an Enc and a Dec there and calls Frame directly.
+// per-operation scratch keeps an Enc and a Dec there and calls Frame directly
+// (receiver.go, tcp.go).
 type codec struct {
 	e Enc
 	d Dec
@@ -427,17 +428,8 @@ func DecodeFrameInto(b []byte, m Msg) (int, error) {
 	return n, err
 }
 
-// WriteMsg frames m onto w using buf as scratch, returning the (possibly
-// grown) buffer for reuse.
-func WriteMsg(w io.Writer, buf []byte, m Msg) ([]byte, error) {
-	buf = AppendFrame(buf[:0], m)
-	_, err := w.Write(buf)
-	return buf, err
-}
-
 // ReadFrame reads one complete framed message from r into buf (grown as
-// needed), returning the frame bytes [len][type][payload] for DecodeFrame or
-// DecodeFrameInto.
+// needed), returning the frame bytes [len][type][payload] for Dec.Frame.
 func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
 	if cap(buf) < 4 {
 		buf = make([]byte, 0, 512)
