@@ -53,12 +53,12 @@ func main() {
 		return
 	}
 
-	params, err := exptFlags.Params(*workers)
+	scale, err := exptFlags.Scale(*workers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchtables:", err)
 		os.Exit(2)
 	}
-	r := expt.Runner{Seed: *seed, Workers: *workers, Params: params}
+	r := expt.Runner{Seed: *seed, Scale: scale}
 	if err := r.RunAndEmit(os.Stdout, *run, *format); err != nil {
 		fmt.Fprintln(os.Stderr, "benchtables:", err)
 		os.Exit(2)

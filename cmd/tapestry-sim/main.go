@@ -56,11 +56,11 @@ func main() {
 	}
 
 	if *run != "" {
-		params, err := exptFlags.Params(*workers)
+		scale, err := exptFlags.Scale(*workers)
 		if err != nil {
 			fail(err)
 		}
-		runner := expt.Runner{Seed: *seed, Workers: *workers, Params: params}
+		runner := expt.Runner{Seed: *seed, Scale: scale}
 		if err := runner.RunAndEmit(os.Stdout, *run, *format); err != nil {
 			fail(err)
 		}
@@ -83,8 +83,8 @@ func main() {
 		// above metric.DenseLimit points the space is computed on demand, so
 		// tens of thousands of points stay cheap.
 		points := 4 * *n
-		if exptFlags.ScalePoints > 0 {
-			points = exptFlags.ScalePoints
+		if p := exptFlags.Size("scale-points"); p > 0 {
+			points = p
 		}
 		space = tapestry.ScaledTransitStubSpace(points, *seed)
 	default:

@@ -266,36 +266,3 @@ func (m *Mesh) AuditProperty4() []string {
 	}
 	return violations
 }
-
-// AuditAvailability locates every published object from `probes` random live
-// vantage points and returns the number of failed (object, vantage) pairs
-// plus the total attempts.
-func (m *Mesh) AuditAvailability(rng *rand.Rand, probes int) (failed, total int) {
-	nodes := m.Nodes()
-	if len(nodes) == 0 {
-		return 0, 0
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].id.Less(nodes[j].id) })
-	objs := map[string]ids.ID{}
-	for _, n := range nodes {
-		for _, g := range n.PublishedObjects() {
-			objs[g.String()] = g
-		}
-	}
-	keys := make([]string, 0, len(objs))
-	for k := range objs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		g := objs[k]
-		for p := 0; p < probes; p++ {
-			client := nodes[rng.Intn(len(nodes))]
-			total++
-			if res := client.Locate(g, nil); !res.Found {
-				failed++
-			}
-		}
-	}
-	return failed, total
-}

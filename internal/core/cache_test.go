@@ -151,7 +151,7 @@ func TestCacheExpiresWithSoftStateTTL(t *testing.T) {
 		t.Fatal("no cached mappings to expire")
 	}
 	nodes[0].Unpublish(guid, nil) // stop the refresh re-validating the hint path
-	for i := int64(0); i <= m.Config().LocateCacheTTL; i++ {
+	for i := int64(0); i <= m.Config().PointerTTL; i++ {
 		now := m.Net().Tick()
 		for _, n := range m.Nodes() {
 			n.expirePointers(now)

@@ -151,9 +151,7 @@ func TestNearestForSlotMatchesOracle(t *testing.T) {
 // engine-based repair refills the resulting holes with the oracle-closest
 // live candidate (the E-repair acceptance bar, asserted at unit scale).
 func TestRepairHoleNearestRefillsWithClosest(t *testing.T) {
-	cfg := testConfig()
-	cfg.Repair = RepairNearest
-	m, nodes := buildMesh(t, 48, cfg, 32)
+	m, nodes := buildMesh(t, 48, testConfig(), 32)
 
 	// Kill 8 nodes, then record which slots of which survivors emptied.
 	victims := map[string]bool{}
@@ -471,21 +469,4 @@ func benchSlotPicks(nodes []*Node, rng *rand.Rand, n int) []slotPick {
 		}
 	}
 	return picks
-}
-
-// BenchmarkRepairHoleScan measures the legacy informant scan on the same
-// slots for comparison (it may mutate tables, so it operates on a clone-free
-// best-effort basis: the slot contents converge after the first iteration).
-func BenchmarkRepairHoleScan(b *testing.B) {
-	cfg := testConfig()
-	cfg.Repair = RepairScan
-	_, nodes := buildMesh(b, 64, cfg, 36)
-	rng := rand.New(rand.NewSource(37))
-	picks := benchSlotPicks(nodes, rng, 1<<12)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := picks[i%len(picks)]
-		p.node.repairHoleScan(p.level, p.digit, ids.ID{}, nil)
-	}
 }

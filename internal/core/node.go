@@ -57,32 +57,6 @@ func (s Scheme) String() string {
 	}
 }
 
-// RepairScheme selects how a node refills a routing-table hole left by a
-// dead neighbor (Section 5.2).
-type RepairScheme int
-
-const (
-	// RepairNearest runs the §4.2 level-by-level nearest-neighbor search
-	// (nearest.go) and installs the closest qualifying candidates, so
-	// Property 2 quality survives churn. The default.
-	RepairNearest RepairScheme = iota
-	// RepairScan is the legacy best-effort informant scan: ask current
-	// neighbors for any matching entry and take the first live one. Kept as
-	// the baseline the E-repair experiment compares the engine against.
-	RepairScan
-)
-
-func (r RepairScheme) String() string {
-	switch r {
-	case RepairNearest:
-		return "nearest"
-	case RepairScan:
-		return "scan"
-	default:
-		return fmt.Sprintf("repair(%d)", int(r))
-	}
-}
-
 // Config parameterises a Mesh.
 type Config struct {
 	// Spec shapes the identifier space. Base must exceed the square of the
@@ -104,17 +78,11 @@ type Config struct {
 	// found by the §4.2 nearest-neighbor engine. Default 1 (no extra
 	// copies); plain Publish ignores it.
 	Replicas int
-	// LocateProbes bounds how many salted roots one Locate tries before
-	// giving up — the cheap sequential-fallback policy. Zero (the default)
-	// probes the full root set; values above RootSetSize are clamped to it.
-	LocateProbes int
 	// Surrogate selects the localized routing variant.
 	Surrogate Scheme
-	// Repair selects the hole-repair strategy after neighbor failures; the
-	// zero value is the §4.2 nearest-neighbor engine.
-	Repair RepairScheme
 	// PointerTTL is the soft-state lifetime of an object pointer in epochs;
-	// pointers older than PointerTTL epochs vanish unless republished.
+	// pointers older than PointerTTL epochs vanish unless republished. A
+	// cached location mapping (LocateCacheCap) expires on the same clock.
 	PointerTTL int64
 	// LocateCacheCap bounds the per-node LRU of cached location mappings
 	// (guid -> replica) populated on the return path of successful locates
@@ -122,17 +90,10 @@ type Config struct {
 	// node allocates one and query behavior is bit-identical to builds
 	// without the serving layer.
 	LocateCacheCap int
-	// LocateCacheTTL is the lifetime of a cached location mapping in epochs.
-	// Zero means "expire alongside the pointer soft state" (PointerTTL).
-	LocateCacheTTL int64
 	// Seed feeds the per-node root-selection streams used by queries (each
 	// node derives a private SplitMix64 stream from Seed and its ID, so
 	// concurrent Locate calls never serialize on a shared RNG).
 	Seed int64
-	// BuildWorkers is the worker-shard count for the parallel static bulk
-	// constructions (BuildStatic, BuildStaticSampled); 0 means one worker
-	// per CPU. The built mesh is byte-identical for every value.
-	BuildWorkers int
 	// Transport selects the node-to-node message backend (transport.go). The
 	// zero value TransportAuto consults TAPESTRY_TRANSPORT and falls back to
 	// the in-memory direct path.
@@ -179,12 +140,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Replicas < 1 {
 		return c, errors.New("core: Replicas must be >= 1")
 	}
-	if c.LocateProbes < 0 {
-		return c, errors.New("core: LocateProbes must be >= 0 (0 probes every root)")
-	}
-	if c.LocateProbes == 0 || c.LocateProbes > c.RootSetSize {
-		c.LocateProbes = c.RootSetSize
-	}
 	if c.PointerTTL == 0 {
 		c.PointerTTL = 3
 	}
@@ -196,15 +151,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.LocateCacheCap < 0 {
 		return c, errors.New("core: LocateCacheCap must be >= 0 (0 disables the cache)")
-	}
-	if c.LocateCacheTTL < 0 {
-		return c, errors.New("core: LocateCacheTTL must be >= 0 (0 follows PointerTTL)")
-	}
-	if c.BuildWorkers < 0 {
-		return c, errors.New("core: BuildWorkers must be >= 0 (0 = one per CPU)")
-	}
-	if c.LocateCacheTTL == 0 {
-		c.LocateCacheTTL = c.PointerTTL
 	}
 	tk, err := resolveTransportKind(c.Transport)
 	if err != nil {
@@ -442,7 +388,7 @@ func (m *Mesh) newNode(id ids.ID, addr netsim.Addr) *Node {
 		rootSalt:  uint64(stats.StreamSeed(m.cfg.Seed, label, 0)),
 	}
 	if m.cfg.LocateCacheCap > 0 {
-		n.cache = newLocateCache(m.cfg.LocateCacheCap, m.cfg.LocateCacheTTL)
+		n.cache = newLocateCache(m.cfg.LocateCacheCap, m.cfg.PointerTTL)
 	}
 	return n
 }

@@ -306,11 +306,10 @@ type LocateResult struct {
 // Locate routes a query for the object from n toward a root, stopping at the
 // first node holding a pointer and then proceeding to the closest replica
 // (Section 2.2, Figure 3). With multiple roots the starting root is chosen
-// pseudo-randomly and the rest are tried on failure (Observation 1) — a
-// sequential fallback over at most Config.LocateProbes roots. The choice is
-// drawn from a per-node SplitMix64 stream (seeded from Config.Seed and the
-// node ID) advanced by an atomic counter, so concurrent queries never
-// serialize on a shared RNG lock and serial runs replay exactly.
+// pseudo-randomly and the rest are tried in turn on failure (Observation 1).
+// The choice is drawn from a per-node SplitMix64 stream (seeded from
+// Config.Seed and the node ID) advanced by an atomic counter, so concurrent
+// queries never serialize on a shared RNG lock and serial runs replay exactly.
 //
 // A multi-root locate that succeeds after one or more roots returned a clean
 // miss (the pointer chain toward that root decayed, e.g. its root crashed
@@ -326,7 +325,7 @@ func (n *Node) Locate(guid ids.ID, cost *netsim.Cost) LocateResult {
 	var out LocateResult
 	var missedBuf [8]int
 	missed := missedBuf[:0]
-	for t := 0; t < n.mesh.cfg.LocateProbes; t++ {
+	for t := 0; t < k; t++ {
 		salt := (start + t) % k
 		res := n.LocateVia(guid, salt, cost)
 		if res.Found {

@@ -20,13 +20,8 @@ func purgeSaltPath(nodes []*Node, server *Node, guid ids.ID, salt int) {
 
 func TestReplicationConfigValidation(t *testing.T) {
 	net := netsim.New(metric.NewRing(8))
-	for i, cfg := range []Config{
-		{Spec: testSpec, Replicas: -1},
-		{Spec: testSpec, LocateProbes: -2},
-	} {
-		if _, err := NewMesh(net, cfg); err == nil {
-			t.Errorf("config %d should be rejected", i)
-		}
+	if _, err := NewMesh(net, Config{Spec: testSpec, Replicas: -1}); err == nil {
+		t.Error("Replicas: -1 should be rejected")
 	}
 }
 
@@ -135,39 +130,6 @@ func TestReadRepair(t *testing.T) {
 	}
 	if !repaired {
 		t.Fatal("32 multi-root locates never repaired the decayed salt-1 path")
-	}
-}
-
-// TestLocateProbesBudget pins the sequential-fallback budget: with
-// LocateProbes=1 a locate consults exactly one salted root, so a query that
-// draws the decayed root misses where the full fallback would have hit.
-func TestLocateProbesBudget(t *testing.T) {
-	cfg := testConfig()
-	cfg.RootSetSize = 2
-	cfg.LocateProbes = 1
-	_, nodes := buildMesh(t, 48, cfg, 8)
-
-	server := nodes[2]
-	guid := testSpec.Hash("budgeted")
-	if err := server.Publish(guid, nil); err != nil {
-		t.Fatalf("Publish: %v", err)
-	}
-	purgeSaltPath(nodes, server, guid, 1)
-
-	client := nodes[20]
-	missed, found := 0, 0
-	for q := 0; q < 64; q++ {
-		if client.Locate(guid, nil).Found {
-			found++
-		} else {
-			missed++
-		}
-	}
-	if missed == 0 {
-		t.Error("LocateProbes=1 never missed on the decayed root: the budget is not being honored")
-	}
-	if found == 0 {
-		t.Error("LocateProbes=1 never hit via the live root")
 	}
 }
 

@@ -151,9 +151,9 @@ func (n *Node) RouteToNode(target ids.ID, cost *netsim.Cost) (*Node, int, error)
 }
 
 // noteDead reacts to a failed probe of a neighbor: the entry is removed
-// everywhere and holes are repaired per the configured repair scheme
-// (Section 5.2). It returns the number of dead forward links removed from
-// this node's table (one per level the corpse occupied).
+// everywhere and holes are repaired (Section 5.2). It returns the number of
+// dead forward links removed from this node's table (one per level the
+// corpse occupied).
 func (n *Node) noteDead(e route.Entry, cost *netsim.Cost) int {
 	n.mu.Lock()
 	if n.state.load() == stateDead {
@@ -173,33 +173,18 @@ func (n *Node) noteDead(e route.Entry, cost *netsim.Cost) int {
 	return len(levels)
 }
 
-// repairHoles refills the given slots after `dead` was removed, dispatching
-// on the configured repair scheme: the §4.2 nearest-neighbor search
-// (default; refills each slot with the closest qualifying nodes so Property
-// 2 survives churn) or the legacy best-effort informant scan kept as an
-// experimental baseline. Holes must be in ascending level order (Remove
-// reports them that way).
+// repairHoles refills the given slots after `dead` was removed (Section
+// 5.2). It runs the level-by-level search of §4.2 (nearest.go) once per
+// holed slot over ONE shared candidate pool — a corpse that holed several
+// levels of the same table would otherwise trigger several searches
+// re-querying largely the same peers — and installs up to R closest live
+// candidates per slot, so a repaired set holds the same entries a fresh
+// table construction would and Property 2 survives churn. Holes must be in
+// ascending level order (Remove reports them that way).
 func (n *Node) repairHoles(holes []slotRef, dead ids.ID, cost *netsim.Cost) {
 	if len(holes) == 0 {
 		return
 	}
-	switch n.mesh.cfg.Repair {
-	case RepairScan:
-		for _, h := range holes {
-			n.repairHoleScan(h.level, h.digit, dead, cost)
-		}
-	default:
-		n.repairHolesNearest(holes, dead, cost)
-	}
-}
-
-// repairHolesNearest runs the level-by-level search of §4.2 (nearest.go)
-// once per holed slot over ONE shared candidate pool — a corpse that holed
-// several levels of the same table would otherwise trigger several searches
-// re-querying largely the same peers — and installs up to R closest live
-// candidates per slot, so a repaired set holds the same entries a fresh
-// table construction would.
-func (n *Node) repairHolesNearest(holes []slotRef, dead ids.ID, cost *netsim.Cost) {
 	s := n.newNNSearch(n.mesh.kList(), dead, cost)
 	defer s.release()
 
@@ -224,54 +209,6 @@ func (n *Node) repairHolesNearest(holes []slotRef, dead ids.ID, cost *netsim.Cos
 			}
 			if n.mesh.net.Alive(c.Addr) && n.addNeighborAndNotify(h.level, c, cost) {
 				installed++
-			}
-		}
-	}
-}
-
-// repairHoleScan is the legacy repair heuristic: ask current neighbors for
-// their matching entries and take the first live one. Not guaranteed to find
-// the closest replacement; guaranteed to find *a* replacement if one is known
-// to any queried neighbor. Kept (behind Config.Repair = RepairScan) as the
-// baseline the E-repair experiment measures the §4.2 engine against.
-func (n *Node) repairHoleScan(level int, digit ids.Digit, dead ids.ID, cost *netsim.Cost) {
-	n.mu.Lock()
-	prefix := n.id.Prefix(level)
-	// Candidates able to know (β,j) nodes: anyone sharing β, i.e. entries at
-	// rows >= level, plus backpointers at those rows.
-	var informants []route.Entry
-	n.table.ForEachNeighbor(func(l int, e route.Entry) {
-		if l >= level {
-			informants = append(informants, e)
-		}
-	})
-	for l := level; l < n.table.Levels(); l++ {
-		informants = append(informants, n.table.Backs(l)...)
-	}
-	n.mu.Unlock()
-
-	f := n.mesh.getFrames()
-	defer n.mesh.putFrames(f)
-	f.match.Origin = n.id
-	f.match.Level = level
-	f.match.Digit = digit
-	seen := map[ids.ID]struct{}{dead: {}, n.id: {}}
-	for _, inf := range informants {
-		if _, dup := seen[inf.ID]; dup {
-			continue
-		}
-		seen[inf.ID] = struct{}{}
-		if _, err := n.mesh.invoke(n.addr, inf, &f.match, &f.matchResp, cost, false); err != nil {
-			continue
-		}
-		for _, c := range f.matchResp.Entries {
-			if c.ID.Equal(dead) || c.ID.Equal(n.id) || !c.ID.HasPrefix(prefix) {
-				continue
-			}
-			c.Distance = n.mesh.net.Distance(n.addr, c.Addr)
-			c.Pinned, c.Leaving = false, false
-			if n.mesh.net.Alive(c.Addr) && n.addNeighborAndNotify(level, c, cost) {
-				return
 			}
 		}
 	}

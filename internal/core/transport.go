@@ -156,8 +156,6 @@ type msgFrames struct {
 	walk       walk      // the bundle's key-directed walk (walk.go); its step message is one of the frames below
 	visitedBuf [8]ids.ID // backs the walk's loop memory until a walk outgrows it: a fresh bundle grows no slice hop by hop
 	route      wire.RouteStep
-	match      wire.MatchQueryReq
-	matchResp  wire.MatchQueryResp
 	share      wire.ShareReq
 	shareResp  wire.ShareResp
 	locate     wire.LocateStep
@@ -251,14 +249,6 @@ func (target *Node) dispatch(req, resp wire.Msg, cost *netsim.Cost) {
 		*wire.McastStep, *wire.CaravanStep, *wire.PtrForward:
 		// Walk steps and probes: the walk driver runs the receiver's step
 		// in-process (see the file comment).
-	case *wire.MatchQueryReq:
-		r := resp.(*wire.MatchQueryResp)
-		r.Entries = r.Entries[:0]
-		target.mu.Lock()
-		if ids.CommonPrefixLen(target.id, q.Origin) >= q.Level {
-			r.Entries = append(r.Entries, target.table.Set(q.Level, q.Digit)...)
-		}
-		target.mu.Unlock()
 	case *wire.TableBandReq:
 		r := resp.(*wire.TableBandResp)
 		r.Entries = r.Entries[:0]

@@ -47,7 +47,7 @@ func pickAddrs(space metric.Space, n int, rng *rand.Rand) []netsim.Addr {
 func ringSpace(n int) metric.Space { return metric.NewRing(4 * n) }
 
 // tapEnv is a built Tapestry overlay plus bookkeeping, for the experiments
-// that exercise Tapestry-specific machinery (audits, repair schemes, the
+// that exercise Tapestry-specific machinery (audits, repair, the
 // serving-layer cache twins). Cross-protocol experiments use overlayEnv,
 // whose joinMsgs carry the per-join costs E3 measures.
 type tapEnv struct {

@@ -8,9 +8,8 @@ import "testing"
 // failed query path abnormally (zero exhaustions), and actually gets used
 // (non-trivial hit rate).
 func TestHotspotAcceptance(t *testing.T) {
-	p := QuickParams()
 	for _, seed := range []int64{3, 17} {
-		runs := runHotspotCell(seed, p.HotspotN, p.HotspotObjects, p.HotspotQueries)
+		runs := runHotspotCell(seed, 128, 64, 2048) // the experiment's -quick sizes
 		if len(runs) != 3 {
 			t.Fatalf("seed %d: %d runs, want 3", seed, len(runs))
 		}

@@ -14,13 +14,10 @@ import (
 // the *closest* qualifying nodes. This experiment kills a slice of the mesh,
 // lets every survivor sweep-and-repair, and checks each refilled slot
 // against an oracle scan of the whole live population: did repair install
-// the true closest candidate? The legacy informant-scan heuristic (the
-// pre-engine repair path, kept as core.RepairScan) runs on an identically
-// seeded twin mesh as the baseline row.
+// the true closest candidate?
 
-// repairStats aggregates one scheme's run.
+// repairStats aggregates one run.
 type repairStats struct {
-	Scheme     core.RepairScheme
 	Holes      int // slots emptied by the failures
 	Refillable int // of those, slots some live candidate exists for
 	Refilled   int // refillable slots that hold at least one entry again
@@ -59,13 +56,11 @@ func oracleSlotClosest(m *core.Mesh, x *core.Node, level int, digit ids.Digit) (
 	return best, found
 }
 
-// runRepairScheme builds a mesh (identically for every scheme given the same
-// seed), kills non-server nodes, sweeps every survivor, and measures repair
-// quality against the oracle plus post-churn availability and stretch.
-func runRepairScheme(scheme core.RepairScheme, n, kills, queries int, seed int64) repairStats {
-	cfg := defaultTapConfig()
-	cfg.Repair = scheme
-	env := buildTapestry(ringSpace(n), n, cfg, subSeed(seed, "build"), true)
+// runRepair builds a mesh, kills non-server nodes, sweeps every survivor, and
+// measures repair quality against the oracle plus post-churn availability
+// and stretch.
+func runRepair(n, kills, queries int, seed int64) repairStats {
+	env := buildTapestry(ringSpace(n), n, defaultTapConfig(), subSeed(seed, "build"), true)
 	m := env.mesh
 	rng := subRNG(seed, "workload")
 
@@ -84,8 +79,7 @@ func runRepairScheme(scheme core.RepairScheme, n, kills, queries int, seed int64
 		servers[env.nodes[serverIdx[i]].ID().String()] = true
 	}
 
-	// Victims: kills distinct non-servers, drawn by the shared rng stream so
-	// every scheme kills the same nodes. The kill count is capped at the
+	// Victims: kills distinct non-servers. The kill count is capped at the
 	// eligible population — rejection sampling over zero eligibles would
 	// never terminate.
 	eligible := len(env.nodes) - len(servers)
@@ -145,7 +139,7 @@ func runRepairScheme(scheme core.RepairScheme, n, kills, queries int, seed int64
 		x.SweepDead(&repairCost)
 	}
 
-	st := repairStats{Scheme: scheme, Holes: len(holes), RepairMsgs: repairCost.Messages()}
+	st := repairStats{Holes: len(holes), RepairMsgs: repairCost.Messages()}
 	for _, h := range holes {
 		best, ok := oracleSlotClosest(m, h.node, h.level, h.digit)
 		if !ok {
@@ -186,31 +180,27 @@ func runRepairScheme(scheme core.RepairScheme, n, kills, queries int, seed int64
 	return st
 }
 
-// repairQualityDef (E-repair) runs the failure/repair scenario once per
-// repair scheme — identical twin meshes, workloads and kill lists — and
-// reports repair quality against the oracle scan, repair traffic, and
-// post-churn availability and stretch. One cell: the two schemes must share
-// one derived seed to stay comparable, and the oracle scan aggregates over
-// the whole mesh.
+// repairQualityDef (E-repair) runs the failure/repair scenario and reports
+// repair quality against the oracle scan, repair traffic, and post-churn
+// availability and stretch. One cell: the oracle scan aggregates over the
+// whole mesh.
 func repairQualityDef(n, kills, queries int) Def {
 	d := Def{
 		Name: "RepairQuality",
 		Table: Table{
-			Title:  "Repair quality after failures (E-repair; §4.2 engine vs legacy scan)",
+			Title:  "Repair quality after failures (E-repair; §4.2 engine)",
 			Note:   "match = refilled hole whose primary is the oracle-closest live candidate",
 			Header: []string{"repair", "holes", "refillable", "refilled", "matched", "match %", "P1 viol", "repair msgs", "locate success", "mean stretch"},
 		},
 	}
 	d.Cells = append(d.Cells, Cell{Label: fmt.Sprintf("n=%d kills=%d", n, kills), Run: func(seed int64, t *Table) {
-		for _, scheme := range []core.RepairScheme{core.RepairScan, core.RepairNearest} {
-			st := runRepairScheme(scheme, n, kills, queries, seed)
-			matchPct := "-" // nothing refilled: a 100% would be vacuous
-			if st.Refilled > 0 {
-				matchPct = trimFloat(100 * st.MatchFrac())
-			}
-			t.AddRow(st.Scheme.String(), st.Holes, st.Refillable, st.Refilled, st.Matched,
-				matchPct, st.P1, st.RepairMsgs, st.LocateOK.String(), st.Stretch.Mean())
+		st := runRepair(n, kills, queries, seed)
+		matchPct := "-" // nothing refilled: a 100% would be vacuous
+		if st.Refilled > 0 {
+			matchPct = trimFloat(100 * st.MatchFrac())
 		}
+		t.AddRow("nearest", st.Holes, st.Refillable, st.Refilled, st.Matched,
+			matchPct, st.P1, st.RepairMsgs, st.LocateOK.String(), st.Stretch.Mean())
 	}})
 	return d
 }

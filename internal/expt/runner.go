@@ -122,12 +122,12 @@ func runPool(workers, n int, job func(i int) ([][]string, error)) ([][][]string,
 	return out, nil
 }
 
-// Runner executes registered experiments with a fixed seed and worker
-// count — the engine behind cmd/benchtables and cmd/tapestry-sim.
+// Runner executes registered experiments with a fixed seed at one Scale,
+// whose Workers sizes the cell pool — the engine behind cmd/benchtables and
+// cmd/tapestry-sim.
 type Runner struct {
-	Seed    int64
-	Workers int
-	Params  Params
+	Seed  int64
+	Scale Scale
 }
 
 // Result pairs an experiment's stable ID with its finished table.
@@ -183,7 +183,7 @@ func (r Runner) Stream(pattern string, emit func(Result) error) error {
 	type ref struct{ exp, cell int }
 	var jobs []ref
 	for i, e := range exps {
-		defs[i] = e.Make(r.Params)
+		defs[i] = e.Make(r.Scale)
 		for c := range defs[i].Cells {
 			jobs = append(jobs, ref{i, c})
 		}
@@ -213,7 +213,7 @@ func (r Runner) Stream(pattern string, emit func(Result) error) error {
 		}
 	}
 
-	_, err = runPool(r.Workers, len(jobs), func(j int) ([][]string, error) {
+	_, err = runPool(r.Scale.Workers, len(jobs), func(j int) ([][]string, error) {
 		ref := jobs[j]
 		got, err := defs[ref.exp].runCell(r.Seed, ref.cell)
 		if err != nil {

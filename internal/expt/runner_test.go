@@ -1,65 +1,22 @@
 package expt
 
 import (
+	"flag"
 	"fmt"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
 )
 
-// smallParams keeps engine tests fast while still exercising several cells
-// per experiment.
-func smallParams() Params {
-	return Params{
-		Sizes:     []int{32, 64},
-		JoinSizes: []int{32, 64},
-		Queries:   64,
-		NNSize:    32,
-		StretchN:  48,
-		BalanceN:  48,
-
-		ScalePoints:  600,
-		ScaleNodes:   32,
-		ScaleEpochs:  2,
-		ScaleQueries: 32,
-
-		RepairN:       48,
-		RepairKills:   8,
-		RepairQueries: 32,
-
-		HotspotN:       48,
-		HotspotObjects: 16,
-		HotspotQueries: 128,
-
-		FaceoffN:       48,
-		FaceoffObjects: 12,
-		FaceoffEpochs:  2,
-		FaceoffQueries: 64,
-
-		PlanetNodes:   200,
-		PlanetObjects: 400,
-		PlanetEpochs:  2,
-		PlanetQueries: 32,
-
-		NinesN:       48,
-		NinesObjects: 12,
-		NinesEpochs:  2,
-		NinesQueries: 64,
-
-		ChaosN:        48,
-		ChaosObjects:  12,
-		ChaosQueries:  64,
-		ChaosStampede: 6,
-		// One scenario keeps the suite's slowest experiment fast here; the
-		// chaos tests cover the full named set.
-		ChaosScenarios: []string{"blackout"},
-	}
-}
+// quick is the scale every engine test runs at: the whole -quick suite takes
+// a couple of seconds, so tests need no smaller one.
+var quick = Scale{Quick: true}
 
 // TestRunnerDeterministicAcrossWorkers is the engine's core contract: the
 // same seed yields a byte-identical table whether cells run serially or fan
 // out across 8 workers.
 func TestRunnerDeterministicAcrossWorkers(t *testing.T) {
-	p := smallParams()
 	for _, e := range Experiments() {
 		if e.ID == "E10" {
 			// E10 performs genuinely simultaneous joins; its printed
@@ -71,7 +28,7 @@ func TestRunnerDeterministicAcrossWorkers(t *testing.T) {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
-			def := e.Make(p)
+			def := e.Make(quick)
 			serial := def.Run(42, 1).String()
 			parallel := def.Run(42, 8).String()
 			if serial != parallel {
@@ -89,8 +46,7 @@ func TestRunnerRace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("race sweep is slow")
 	}
-	p := smallParams()
-	r := Runner{Seed: 7, Workers: 8, Params: p}
+	r := Runner{Seed: 7, Scale: Scale{Quick: true, Workers: 8}}
 	results, err := r.RunMatching("E0|E6|E7|E9|E10|E-scale|A3")
 	if err != nil {
 		t.Fatal(err)
@@ -109,11 +65,10 @@ func TestRunnerRace(t *testing.T) {
 // pairs may share an RNG stream — the failure mode of the old seed+7/seed*3
 // arithmetic.
 func TestCellSeedsDistinct(t *testing.T) {
-	p := QuickParams()
 	for _, base := range []int64{0, 1, 3, 7, 21} { // seeds where old offsets aliased
 		seen := map[int64]string{}
 		for _, e := range Experiments() {
-			def := e.Make(p)
+			def := e.Make(quick)
 			for i := range def.Cells {
 				s := def.cellSeed(base, i)
 				where := e.ID + "/" + def.Cells[i].Label
@@ -129,8 +84,7 @@ func TestCellSeedsDistinct(t *testing.T) {
 // TestStreamOrderAndPooling checks that the shared pool emits results in
 // presentation order with content identical to per-experiment runs.
 func TestStreamOrderAndPooling(t *testing.T) {
-	p := smallParams()
-	r := Runner{Seed: 11, Workers: 8, Params: p}
+	r := Runner{Seed: 11, Scale: Scale{Quick: true, Workers: 8}}
 	var streamed []Result
 	err := r.Stream("E0|E2|E6|A3", func(res Result) error {
 		streamed = append(streamed, res)
@@ -154,7 +108,7 @@ func TestStreamOrderAndPooling(t *testing.T) {
 			if e.ID != res.ID {
 				continue
 			}
-			if want := e.Make(p).Run(11, 1).String(); res.Table.String() != want {
+			if want := e.Make(quick).Run(11, 1).String(); res.Table.String() != want {
 				t.Errorf("%s: pooled table diverged from serial run\n%s\nvs\n%s", res.ID, res.Table, want)
 			}
 		}
@@ -194,7 +148,7 @@ func TestRunPanicAttribution(t *testing.T) {
 // check comes first, proving no experiment selection (let alone execution)
 // happened before it.
 func TestRunAndEmitRejectsFormatUpFront(t *testing.T) {
-	r := Runner{Seed: 1, Workers: 1, Params: QuickParams()}
+	r := Runner{Seed: 1, Scale: Scale{Quick: true, Workers: 1}}
 	err := r.RunAndEmit(&strings.Builder{}, "(", "jsn")
 	if err == nil || !strings.Contains(err.Error(), "jsn") {
 		t.Fatalf("want unknown-format error before pattern handling, got %v", err)
@@ -244,7 +198,7 @@ func TestRegistryNamesUniqueAndStable(t *testing.T) {
 		}
 		ids[e.ID] = true
 		names[e.Name] = true
-		def := e.Make(QuickParams())
+		def := e.Make(quick)
 		if def.Name != e.Name {
 			t.Errorf("%s: def name %q != registry name %q (seed streams would drift)", e.ID, def.Name, e.Name)
 		}
@@ -257,5 +211,56 @@ func TestRegistryNamesUniqueAndStable(t *testing.T) {
 		if !strings.Contains(def.Table.Title, "") && def.Table.Title == "" {
 			t.Errorf("%s has no title", e.ID)
 		}
+	}
+}
+
+// TestFlagsResolveScale pins the one flag table both CLIs bind: a size flag
+// replaces its row's literal pair at either scale and leaves the others
+// alone, the name selections split on commas, every name a registry row asks
+// for is a flag that exists, and a typo'd scenario or protocol is refused
+// before anything runs.
+func TestFlagsResolveScale(t *testing.T) {
+	parse := func(args ...string) (Scale, error) {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		f := BindFlags(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		return f.Scale(3)
+	}
+	s, err := parse("-quick", "-nines-n", "48", "-chaos-scenario", "blackout,lossy-links", "-protocol", "tapestry,chord")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !s.Quick || s.Workers != 3 {
+		t.Errorf("quick=%v workers=%d", s.Quick, s.Workers)
+	}
+	if got := s.size("nines-n", 256, 96); got != 48 {
+		t.Errorf("overridden nines-n = %d, want 48", got)
+	}
+	if got := s.size("chaos-n", 128, 64); got != 64 {
+		t.Errorf("untouched chaos-n = %d, want the quick literal 64", got)
+	}
+	if !reflect.DeepEqual(s.Scenarios, []string{"blackout", "lossy-links"}) ||
+		!reflect.DeepEqual(s.Protocols, []string{"tapestry", "chord"}) {
+		t.Errorf("selections: %v %v", s.Scenarios, s.Protocols)
+	}
+	for _, e := range Experiments() {
+		e.Make(s) // panics on a size name no flag has
+	}
+
+	full, err := parse()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := full.size("nines-n", 256, 96); got != 256 || full.Scenarios != nil || full.Protocols != nil {
+		t.Errorf("no flags: nines-n=%d scenarios=%v protocols=%v", got, full.Scenarios, full.Protocols)
+	}
+	if _, err := parse("-chaos-scenario", "no-such-scenario"); err == nil {
+		t.Error("unknown scenario accepted")
+	}
+	if _, err := parse("-protocol", "no-such-protocol"); err == nil {
+		t.Error("unknown protocol accepted")
 	}
 }

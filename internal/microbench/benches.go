@@ -15,10 +15,12 @@ import (
 
 // The micro set pins the hot paths the perf PRs optimized: the end-to-end
 // locate and publish/unpublish, the §4.2 slot search, the per-hop routing
-// decision, and the two halves of a batched maintenance epoch. Fixture sizes match the historical
-// `go test -bench` numbers (256-node facade network, 64/128-node core
-// meshes) so BENCH_micro.json stays comparable with the figures quoted in
-// README's Performance section.
+// decision, and the two halves of a batched maintenance epoch — and, from
+// OpLocateCached down, the facade's other per-operation costs (cached
+// locate, publish, join+leave, a maintenance epoch, address allocation).
+// Fixture sizes match the historical `go test -bench` numbers (256-node
+// facade network, 64/128-node core meshes) so BENCH_micro.json stays
+// comparable with the figures quoted in README's Performance section.
 
 // benchSpec matches internal/core's test spec: short IDs so small meshes
 // populate every level.
@@ -65,20 +67,32 @@ func Benches() []Benchmark {
 		{Name: "WireEncode", Setup: setupWireEncode},
 		{Name: "WireDecode", Setup: setupWireDecode},
 		{Name: "LoopbackLocate", Setup: setupLoopbackLocate},
+		{Name: "OpLocateCached", Setup: setupOpLocateCached},
+		{Name: "OpPublish", Setup: setupOpPublish},
+		{Name: "OpJoinLeave", Setup: setupOpJoinLeave},
+		{Name: "OpMaintenanceEpoch", Setup: setupOpMaintenanceEpoch},
+		{Name: "FreeAddr", Setup: setupFreeAddr},
 	}
 }
 
-// OpLocate: the facade-level end-to-end locate on a settled 256-node
-// network, round-robin over clients.
-func setupOpLocate() func(b *B) {
-	nw, err := tapestry.New(tapestry.RingSpace(256*4), tapestry.Defaults())
+// facadeNetwork grows a settled n-node Tapestry network on a ring four times
+// its size, the fixture of every facade-level row.
+func facadeNetwork(n int, cfg tapestry.Config) (*tapestry.Network, []*tapestry.Node) {
+	nw, err := tapestry.New(tapestry.RingSpace(n*4), cfg)
 	if err != nil {
 		panic(err)
 	}
-	nodes, err := nw.Grow(256)
+	nodes, err := nw.Grow(n)
 	if err != nil {
 		panic(err)
 	}
+	return nw, nodes
+}
+
+// facadeLocate is the body of the three facade locate rows: one object
+// published on a settled 256-node network, located round-robin over clients.
+func facadeLocate(cfg tapestry.Config) func(b *B) {
+	_, nodes := facadeNetwork(256, cfg)
 	if _, err := nodes[0].Publish("bench-object"); err != nil {
 		panic(err)
 	}
@@ -94,6 +108,9 @@ func setupOpLocate() func(b *B) {
 		b.ReportMetric(float64(hops)/float64(b.N), "hops/op")
 	}
 }
+
+// OpLocate: the facade-level end-to-end locate.
+func setupOpLocate() func(b *B) { return facadeLocate(tapestry.Defaults()) }
 
 // OpLocateMultiRoot: the same end-to-end locate with the availability tier
 // turned up (r=4 salted roots, k=3 replicas) — the per-query overhead of the
@@ -102,30 +119,20 @@ func setupOpLocate() func(b *B) {
 // so almost every query succeeds on its first probe).
 func setupOpLocateMultiRoot() func(b *B) {
 	cfg := tapestry.Defaults()
-	cfg.Roots = 4
+	cfg.RootSetSize = 4
 	cfg.Replicas = 3
-	nw, err := tapestry.New(tapestry.RingSpace(256*4), cfg)
-	if err != nil {
-		panic(err)
-	}
-	nodes, err := nw.Grow(256)
-	if err != nil {
-		panic(err)
-	}
-	if _, err := nodes[0].Publish("bench-object"); err != nil {
-		panic(err)
-	}
-	return func(b *B) {
-		hops := 0
-		for i := 0; i < b.N; i++ {
-			res, _ := nodes[i%len(nodes)].Locate("bench-object")
-			if !res.Found {
-				panic("lost object")
-			}
-			hops += res.Hops
-		}
-		b.ReportMetric(float64(hops)/float64(b.N), "hops/op")
-	}
+	return facadeLocate(cfg)
+}
+
+// OpLocateCached: OpLocate with the serving layer on and warm — every client
+// has located the object once, so repeat queries are answered from the
+// per-node locate cache.
+func setupOpLocateCached() func(b *B) {
+	cfg := tapestry.Defaults()
+	cfg.LocateCacheCap = 128
+	body := facadeLocate(cfg)
+	body(&B{N: 256})
+	return body
 }
 
 // OpPublishUnpublish: the facade-level write path on the same settled
@@ -134,14 +141,7 @@ func setupOpLocateMultiRoot() func(b *B) {
 // path is one the matching unpublish releases: the churn the pointer store's
 // free lists exist to absorb.
 func setupOpPublishUnpublish() func(b *B) {
-	nw, err := tapestry.New(tapestry.RingSpace(256*4), tapestry.Defaults())
-	if err != nil {
-		panic(err)
-	}
-	nodes, err := nw.Grow(256)
-	if err != nil {
-		panic(err)
-	}
+	_, nodes := facadeNetwork(256, tapestry.Defaults())
 	return func(b *B) {
 		msgs := 0
 		for i := 0; i < b.N; i++ {
@@ -332,5 +332,98 @@ func setupLoopbackLocate() func(b *B) {
 			hops += res.Hops
 		}
 		b.ReportMetric(float64(hops)/float64(b.N), "hops/op")
+	}
+}
+
+// OpPublish: the facade publish alone on the settled 256-node network. The
+// 4096 names are spread 16 to a node and announced once in setup, so every
+// timed op is what a long-lived server's publish is — the soft-state refresh
+// of a standing single-replica object along its whole path — and the pointer
+// population stays fixed however long the harness runs.
+func setupOpPublish() func(b *B) {
+	_, nodes := facadeNetwork(256, tapestry.Defaults())
+	names := make([]string, 16*len(nodes))
+	publish := func(i int) int {
+		c, err := nodes[i%len(nodes)].Publish(names[i%len(names)])
+		if err != nil {
+			panic(err)
+		}
+		return c.Messages
+	}
+	for i := range names {
+		names[i] = fmt.Sprintf("obj-%d", i)
+		publish(i)
+	}
+	return func(b *B) {
+		msgs := 0
+		for i := 0; i < b.N; i++ {
+			msgs += publish(i)
+		}
+		b.ReportMetric(float64(msgs)/float64(b.N), "msgs/op")
+	}
+}
+
+// OpJoinLeave: one dynamic insertion (§4) into a settled 128-node network at
+// a random free point, followed by that node's voluntary departure (§5.1), so
+// the population is the same before every op.
+func setupOpJoinLeave() func(b *B) {
+	nw, _ := facadeNetwork(128, tapestry.Defaults())
+	return func(b *B) {
+		before := nw.TotalMessages()
+		for i := 0; i < b.N; i++ {
+			joined, err := nw.Grow(1)
+			if err != nil {
+				panic(err)
+			}
+			if _, err := joined[0].Leave(); err != nil {
+				panic(err)
+			}
+		}
+		b.ReportMetric(float64(nw.TotalMessages()-before)/float64(b.N), "msgs/op")
+	}
+}
+
+// OpMaintenanceEpoch: one facade RunMaintenance — expiry plus the republish
+// of 32 objects — on a settled 128-node network.
+func setupOpMaintenanceEpoch() func(b *B) {
+	nw, nodes := facadeNetwork(128, tapestry.Defaults())
+	for i := 0; i < 32; i++ {
+		if _, err := nodes[i].Publish(fmt.Sprintf("m-%d", i)); err != nil {
+			panic(err)
+		}
+	}
+	return func(b *B) {
+		msgs := 0
+		for i := 0; i < b.N; i++ {
+			msgs += nw.RunMaintenance().Messages
+		}
+		b.ReportMetric(float64(msgs)/float64(b.N), "msgs/epoch")
+	}
+}
+
+// FreeAddr: the facade's free-point allocator, per point handed out, seen
+// through the one exported path that is mostly it: the bulk Grow that fills
+// three quarters of a fresh 4096-point ring on the directory protocol, whose
+// Build is one registration per member. The shuffled-stack allocator is O(1)
+// per point whatever the occupancy; the linear probe it replaced slowed as
+// the space filled and made dense construction quadratic.
+func setupFreeAddr() func(b *B) {
+	const size, fill = 4096, 4096 * 3 / 4
+	space := tapestry.RingSpace(size)
+	return func(b *B) {
+		for done := 0; done < b.N; {
+			k := b.N - done
+			if k > fill {
+				k = fill
+			}
+			nw, err := tapestry.NewProtocol(space, tapestry.Directory, tapestry.Defaults())
+			if err != nil {
+				panic(err)
+			}
+			if _, err := nw.Grow(k); err != nil {
+				panic(err)
+			}
+			done += k
+		}
 	}
 }

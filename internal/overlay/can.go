@@ -31,12 +31,11 @@ type canHandle struct{ n *can.Node }
 func (h canHandle) Addr() netsim.Addr { return h.n.Addr() }
 func (h canHandle) Label() string     { return fmt.Sprintf("zone@%d", h.n.Addr()) }
 
+// canDims is the torus dimensionality r every CAN row is run with.
+const canDims = 2
+
 func newCAN(net *netsim.Network, cfg Config) (Protocol, error) {
-	dims := cfg.Dims
-	if dims == 0 {
-		dims = 2
-	}
-	mesh, err := can.NewMesh(net, dims)
+	mesh, err := can.NewMesh(net, canDims)
 	if err != nil {
 		return nil, err
 	}

@@ -209,10 +209,6 @@ type Config struct {
 	// Static selects Tapestry's oracle static construction in Build (fast,
 	// no join costs) instead of the dynamic insertion protocol.
 	Static bool
-	// LeafSize is Pastry's leaf-set size |L| (0 = 8).
-	LeafSize int
-	// Dims is CAN's torus dimensionality r (0 = 2).
-	Dims int
 	// Core, when non-nil, is the full Tapestry configuration to use
 	// verbatim (the facade builds one from its public Config). When nil,
 	// Tapestry runs core.DefaultConfig with Spec and Seed applied.

@@ -29,13 +29,12 @@ type pastryHandle struct{ n *pastry.Node }
 func (h pastryHandle) Addr() netsim.Addr { return h.n.Addr() }
 func (h pastryHandle) Label() string     { return h.n.ID().String() }
 
+// pastryLeafSet is the leaf-set size |L| every Pastry row is run with.
+const pastryLeafSet = 8
+
 func newPastry(net *netsim.Network, cfg Config) (Protocol, error) {
-	leaf := cfg.LeafSize
-	if leaf == 0 {
-		leaf = 8
-	}
 	spec := cfg.spec()
-	mesh, err := pastry.NewMesh(net, spec, leaf)
+	mesh, err := pastry.NewMesh(net, spec, pastryLeafSet)
 	if err != nil {
 		return nil, err
 	}

@@ -17,8 +17,7 @@ const tapestryCaps = CapJoin | CapLeave | CapFail | CapUnpublish |
 type tapestry struct {
 	members
 	net  *netsim.Network
-	cfg  core.Config
-	mesh *core.Mesh
+	mesh *core.Mesh // its Config() is the effective configuration, defaults applied
 	rng  *rand.Rand // member IDs and gateway choice
 	stat bool       // Build uses the oracle static construction
 }
@@ -61,17 +60,8 @@ func newTapestry(net *netsim.Network, cfg Config) (Protocol, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Normalize the availability knobs the mesh defaulted internally, so
-	// Stats reports the effective values even for a zero-valued cfg.Core.
-	if cc.RootSetSize < 1 {
-		cc.RootSetSize = 1
-	}
-	if cc.Replicas < 1 {
-		cc.Replicas = 1
-	}
 	return &tapestry{
 		net:  net,
-		cfg:  cc,
 		mesh: mesh,
 		rng:  rand.New(rand.NewSource(cfg.Seed)),
 		stat: cfg.Static,
@@ -89,8 +79,9 @@ func (t *tapestry) Build(addrs []netsim.Addr) ([]Handle, []int, error) {
 		return nil, nil, err
 	}
 	if t.stat {
-		parts := core.StaticParticipants(t.cfg.Spec, addrs, t.rng)
-		m, err := core.BuildStaticSampled(t.net, t.cfg, parts, len(parts), t.cfg.BuildWorkers)
+		cfg := t.mesh.Config()
+		parts := core.StaticParticipants(cfg.Spec, addrs, t.rng)
+		m, err := core.BuildStatic(t.net, cfg, parts)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -181,7 +172,7 @@ func (t *tapestry) Publish(h Handle, key string) (*netsim.Cost, error) {
 	if !ok {
 		return cost, errors.New("overlay: foreign handle")
 	}
-	if t.cfg.Replicas > 1 {
+	if t.mesh.Config().Replicas > 1 {
 		_, err := n.PublishReplicated(t.guid(key), cost)
 		return cost, err
 	}
@@ -255,6 +246,7 @@ func (t *tapestry) Stats() Stats {
 		s.MeanTableEntries = float64(links) / float64(len(nodes))
 	}
 	s.CacheHits, s.CacheMisses = t.mesh.LocateCacheStats()
-	s.Roots, s.Replicas = t.cfg.RootSetSize, t.cfg.Replicas
+	cfg := t.mesh.Config()
+	s.Roots, s.Replicas = cfg.RootSetSize, cfg.Replicas
 	return s
 }

@@ -6,7 +6,7 @@ import (
 )
 
 // Spec sizes the named scenarios: the same timeline shapes replay at smoke
-// or full scale by swapping the spec, exactly like expt.Params.
+// or full scale by swapping the spec (E-chaos passes its -quick or full pair).
 type Spec struct {
 	// Queries is the size of each measurement storm (per phase).
 	Queries int

@@ -7,14 +7,13 @@ import (
 )
 
 // Message type IDs. Pinned by testdata/wire.golden: append new values, never
-// renumber. 1–39 is the core mesh protocol; 40+ is the multi-process cluster
-// protocol spoken by cmd/tapestry-node.
+// renumber. 1–39 is the core mesh protocol (4 and 5, the retired repair-scan
+// pair, stay unassigned); 40+ is the multi-process cluster protocol spoken by
+// cmd/tapestry-node.
 const (
 	TPing             Type = 1
 	TAck              Type = 2
 	TRouteStep        Type = 3
-	TMatchQueryReq    Type = 4
-	TMatchQueryResp   Type = 5
 	TTableBandReq     Type = 6
 	TTableBandResp    Type = 7
 	TShareReq         Type = 8
@@ -57,8 +56,6 @@ var catalogue = [...]struct {
 	{TPing, "Ping", func() Msg { return new(Ping) }},
 	{TAck, "Ack", func() Msg { return new(Ack) }},
 	{TRouteStep, "RouteStep", func() Msg { return new(RouteStep) }},
-	{TMatchQueryReq, "MatchQueryReq", func() Msg { return new(MatchQueryReq) }},
-	{TMatchQueryResp, "MatchQueryResp", func() Msg { return new(MatchQueryResp) }},
 	{TTableBandReq, "TableBandReq", func() Msg { return new(TableBandReq) }},
 	{TTableBandResp, "TableBandResp", func() Msg { return new(TableBandResp) }},
 	{TShareReq, "ShareReq", func() Msg { return new(ShareReq) }},
@@ -217,38 +214,6 @@ func (m *RouteStep) DecodeFrom(d *Dec) {
 	d.IDInto(&m.Key)
 	m.Level = d.Int()
 	m.Op = RouteOp(d.U8())
-}
-
-// MatchQueryReq asks an informant for its entries at (Level, Digit) provided
-// the informant shares at least Level digits with Origin (the §5.2 repair
-// scan).
-type MatchQueryReq struct {
-	Origin ids.ID
-	Level  int
-	Digit  ids.Digit
-}
-
-func (*MatchQueryReq) WireType() Type { return TMatchQueryReq }
-func (m *MatchQueryReq) EncodeTo(e *Enc) {
-	e.ID(m.Origin)
-	e.Int(m.Level)
-	e.U8(m.Digit)
-}
-func (m *MatchQueryReq) DecodeFrom(d *Dec) {
-	d.IDInto(&m.Origin)
-	m.Level = d.Int()
-	m.Digit = d.U8()
-}
-
-// MatchQueryResp carries the informant's matching entries.
-type MatchQueryResp struct {
-	Entries []route.Entry
-}
-
-func (*MatchQueryResp) WireType() Type    { return TMatchQueryResp }
-func (m *MatchQueryResp) EncodeTo(e *Enc) { e.Entries(m.Entries) }
-func (m *MatchQueryResp) DecodeFrom(d *Dec) {
-	m.Entries = d.Entries(m.Entries)
 }
 
 // TableBandReq asks a peer for its forward and backward links in levels

@@ -159,6 +159,14 @@ func FuzzServeConn(f *testing.F) {
 		f.Add(envelope(5, id(4, 4), m, nil))
 		f.Add(append(envelope(5, id(4, 4), m, &Ack{}), envelope(-3, ids.ID{}, m, m)...))
 	}
+	// The same two shapes around a frame of a retired type: the header is
+	// well formed, the request it carries no longer exists.
+	for _, old := range retiredFrames() {
+		oneWay := envelope(5, id(4, 4), &Ping{}, nil)
+		oneWay = append(oneWay[:len(oneWay)-len(AppendFrame(nil, &Ping{}))], old...)
+		f.Add(oneWay)
+		f.Add(append(append([]byte{}, oneWay...), envelope(-3, ids.ID{}, &Ping{}, &Ack{})...))
+	}
 	f.Add([]byte{0, 14, 65})
 	f.Add([]byte{1, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, b []byte) {

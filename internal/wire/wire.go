@@ -147,9 +147,6 @@ type Dec struct {
 	err error
 }
 
-// NewDec returns a decoder over b (which is not copied).
-func NewDec(b []byte) *Dec { return &Dec{b: b} }
-
 // Reset re-points the decoder at b and clears any latched error.
 func (d *Dec) Reset(b []byte) { d.b, d.off, d.err = b, 0, nil }
 

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
 	"flag"
 	"fmt"
 	"os"
@@ -30,6 +31,25 @@ func ent(seed int) route.Entry {
 	}
 }
 
+// retiredFrames are the frames of types 4 and 5 — the repair-scan request and
+// reply, removed with their handler — exactly as wire.golden last pinned
+// them: what a peer built before the removal still sends, and what every
+// decoder must refuse rather than misread. The fuzz targets seed them too.
+func retiredFrames() [][]byte {
+	var out [][]byte
+	for _, h := range []string{
+		"0700000004030506070209",
+		"2c00000005030301040816000000000000f83f00030205092c0000000000000840010303060a42000000000000124002",
+	} {
+		b, err := hex.DecodeString(h)
+		if err != nil {
+			panic(err)
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
 // fixtures returns one representatively populated message per wire type, in
 // Types() order. Every field is non-zero somewhere so the round-trip and
 // golden tests exercise the full encoding of each struct.
@@ -38,8 +58,6 @@ func fixtures() []Msg {
 		&Ping{},
 		&Ack{},
 		&RouteStep{Key: id(1, 2, 3, 4), Level: 2, Op: RouteOpPublish},
-		&MatchQueryReq{Origin: id(5, 6, 7), Level: 1, Digit: 9},
-		&MatchQueryResp{Entries: []route.Entry{ent(1), ent(2), ent(3)}},
 		&TableBandReq{Floor: 3, Fold: -1},
 		&TableBandResp{Entries: []route.Entry{ent(4)}},
 		&ShareReq{Entries: []route.Entry{ent(5), ent(6)}},
@@ -208,13 +226,17 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 
 	// A hostile list count larger than the remaining payload must fail
 	// before allocation.
-	resp := AppendFrame(nil, &MatchQueryResp{})
-	resp[0] = 3 // payload: type byte + count... keep frame length consistent
-	hostile := []byte{3, 0, 0, 0, byte(TMatchQueryResp), 0xFF, 0x7F}
+	hostile := []byte{3, 0, 0, 0, byte(TTableBandResp), 0xFF, 0x7F}
 	if _, _, err := DecodeFrame(hostile); err == nil {
 		t.Error("DecodeFrame accepted a hostile entry count")
 	}
-	_ = resp
+
+	// A retired type ID is an unknown type, not a reinterpretation.
+	for _, old := range retiredFrames() {
+		if _, _, err := DecodeFrame(old); err == nil {
+			t.Errorf("DecodeFrame accepted retired type %d", old[4])
+		}
+	}
 }
 
 // TestWireGolden pins the framed encoding of every message type against
@@ -265,6 +287,9 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	for _, m := range fixtures() {
 		f.Add(AppendFrame(nil, m))
 	}
+	for _, old := range retiredFrames() {
+		f.Add(old)
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		m, n, err := DecodeFrame(b)
 		if err != nil {
@@ -293,6 +318,9 @@ func FuzzFrameRoundTrip(f *testing.F) {
 func FuzzDecodeInto(f *testing.F) {
 	for _, m := range fixtures() {
 		f.Add(AppendFrame(nil, m))
+	}
+	for _, old := range retiredFrames() {
+		f.Add(old)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		m, _, err := DecodeFrame(b)

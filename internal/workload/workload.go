@@ -87,35 +87,6 @@ type ChurnOp struct {
 	Victim int
 }
 
-// ChurnSchedule interleaves joins and leaves: `joins` joins and `leaves`
-// leaves in random order (never letting planned leaves outnumber prior
-// joins, so the population cannot go negative).
-//
-// Edge cases are explicit contract, not accident: negative counts panic,
-// leaves > joins panics (the invariant above would be unsatisfiable), and
-// (0, 0) returns an empty schedule.
-func ChurnSchedule(joins, leaves int, rng *rand.Rand) []ChurnOp {
-	if joins < 0 || leaves < 0 {
-		panic(fmt.Sprintf("workload: negative churn counts (joins=%d leaves=%d)", joins, leaves))
-	}
-	if leaves > joins {
-		panic("workload: more leaves than joins")
-	}
-	ops := make([]ChurnOp, 0, joins+leaves)
-	j, l := 0, 0
-	for j < joins || l < leaves {
-		// Bias toward joins while we must keep the invariant l < j.
-		if j < joins && (l >= leaves || rng.Intn(2) == 0 || l >= j) {
-			ops = append(ops, ChurnOp{Join: true})
-			j++
-		} else {
-			ops = append(ops, ChurnOp{Join: false, Victim: rng.Intn(1 << 30)})
-			l++
-		}
-	}
-	return ops
-}
-
 // PoissonChurn draws a per-epoch churn schedule: each epoch gets
 // Poisson(joinMean) joins, Poisson(leaveMean) voluntary leaves and
 // Poisson(crashMean) crashes, shuffled together. Departures are capped so

@@ -128,38 +128,6 @@ func TestPoissonChurnInvariants(t *testing.T) {
 	PoissonChurn(1, 1, 5, 1, 1, 1, rand.New(rand.NewSource(1)))
 }
 
-func TestChurnScheduleInvariant(t *testing.T) {
-	f := func(seed int64, jRaw, lRaw uint8) bool {
-		joins := int(jRaw)%20 + 1
-		leaves := int(lRaw) % (joins + 1)
-		ops := ChurnSchedule(joins, leaves, rand.New(rand.NewSource(seed)))
-		if len(ops) != joins+leaves {
-			return false
-		}
-		j, l := 0, 0
-		for _, op := range ops {
-			if op.Join {
-				j++
-			} else {
-				l++
-			}
-			if l > j {
-				return false // would empty the network
-			}
-		}
-		return j == joins && l == leaves
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic when leaves > joins")
-		}
-	}()
-	ChurnSchedule(1, 2, rand.New(rand.NewSource(1)))
-}
-
 func TestPoissonLargeMean(t *testing.T) {
 	// Means past exp-underflow (~745) must still track the requested rate
 	// instead of silently capping; the splitting rule keeps the sampler
@@ -235,13 +203,6 @@ func TestChurnEdgeCaseContracts(t *testing.T) {
 	mustPanic("negative mean", func() { PoissonChurn(1, 10, 1, -1, 0, 0, rng) })
 	mustPanic("NaN mean", func() { PoissonChurn(1, 10, 1, 0, math.NaN(), 0, rng) })
 	mustPanic("population below minimum", func() { PoissonChurn(1, 1, 5, 0, 0, 0, rng) })
-	mustPanic("negative joins", func() { ChurnSchedule(-1, 0, rng) })
-	mustPanic("negative leaves", func() { ChurnSchedule(2, -1, rng) })
-	mustPanic("leaves exceed joins", func() { ChurnSchedule(1, 2, rng) })
-
-	if got := ChurnSchedule(0, 0, rng); len(got) != 0 {
-		t.Fatalf("ChurnSchedule(0,0) returned %d ops", len(got))
-	}
 }
 
 func TestFlashCrowdQueries(t *testing.T) {

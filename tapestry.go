@@ -175,10 +175,6 @@ type Config struct {
 	K int
 	// RootSetSize is the number of salted roots per object (fault tolerance).
 	RootSetSize int
-	// Roots is the availability-tier spelling of RootSetSize: when > 0 it
-	// overrides RootSetSize as the per-object salted root count r. The two
-	// names coexist so existing configurations keep working.
-	Roots int
 	// Replicas is the object replication factor k: each Publish places the
 	// object on the publishing node plus the k-1 closest live peers, selected
 	// by the nearest-neighbor engine with locality-aware region spread.
@@ -188,27 +184,21 @@ type Config struct {
 	// of Tapestry-native next-filled-digit routing.
 	PRRRouting bool
 	// PointerTTL is the soft-state object-pointer lifetime in maintenance
-	// epochs.
+	// epochs; cached location mappings (LocateCacheCap) expire with it.
 	PointerTTL int
 	// LocateCacheCap bounds the per-node LRU of cached location mappings
 	// populated on the return path of successful locates — the hot-object
 	// serving layer. 0 (the default) disables it; behavior is then
 	// bit-identical to builds without the cache.
 	LocateCacheCap int
-	// LocateCacheTTL is the cached-mapping lifetime in maintenance epochs;
-	// 0 follows PointerTTL.
-	LocateCacheTTL int
 	// Seed drives all randomized choices (IDs, root selection).
 	Seed int64
 	// StaticBuild selects the oracle static construction for the initial
 	// bulk Grow on an empty Tapestry overlay (exact R-closest tables from
-	// global knowledge, built across BuildWorkers shards) instead of
-	// sequential dynamic insertion. Later Grow/AddNode calls still insert
+	// global knowledge, one build worker per CPU) instead of sequential
+	// dynamic insertion. Later Grow/AddNode calls still insert
 	// dynamically.
 	StaticBuild bool
-	// BuildWorkers shards the static bulk construction (0 = one worker per
-	// CPU). The built overlay is byte-identical for every value.
-	BuildWorkers int
 	// Transport selects the message backend of a Tapestry-backed network:
 	// in-process direct calls (the default), a wire-codec loopback, or real
 	// TCP sockets. TCP is incompatible with EventDriven. Call Network.Close
@@ -243,18 +233,13 @@ func (c Config) toCore() core.Config {
 	cc.R = c.R
 	cc.K = c.K
 	cc.RootSetSize = c.RootSetSize
-	if c.Roots > 0 {
-		cc.RootSetSize = c.Roots
-	}
 	cc.Replicas = c.Replicas
 	if c.PRRRouting {
 		cc.Surrogate = core.SchemePRRLike
 	}
 	cc.PointerTTL = int64(c.PointerTTL)
 	cc.LocateCacheCap = c.LocateCacheCap
-	cc.LocateCacheTTL = int64(c.LocateCacheTTL)
 	cc.Seed = c.Seed
-	cc.BuildWorkers = c.BuildWorkers
 	cc.Transport = core.TransportKind(c.Transport)
 	return cc
 }
@@ -461,9 +446,10 @@ func (nw *Network) VirtualNow() float64 {
 
 // RegionOf returns the locality region (stub domain) of a point in the
 // metric space, or -1 when the space has no region structure (only
-// transit-stub spaces label regions; transit routers are -1 too).
+// transit-stub spaces label regions; transit routers are -1 too) or the
+// point lies outside the space.
 func (nw *Network) RegionOf(addr int) int {
-	if r := metric.Regions(nw.sim.Space()); len(r) > 0 {
+	if r := metric.Regions(nw.sim.Space()); addr >= 0 && addr < len(r) {
 		return r[addr]
 	}
 	return -1
@@ -473,8 +459,11 @@ func (nw *Network) RegionOf(addr int) int {
 // overlay, later calls run the protocol's dynamic insertion through a
 // random gateway. It returns the node and the insertion cost. Protocols
 // without dynamic insertion (Pastry) decline with ErrUnsupported — use one
-// bulk Grow call instead.
+// bulk Grow call instead. A point outside the metric space is an error.
 func (nw *Network) AddNode(addr int) (*Node, Cost, error) {
+	if addr < 0 || addr >= nw.sim.Size() {
+		return nil, Cost{}, fmt.Errorf("tapestry: point %d outside the %d-point metric space", addr, nw.sim.Size())
+	}
 	h, cost, err := nw.proto.Join(netsim.Addr(addr))
 	if err != nil {
 		return nil, costOf(cost), err
@@ -485,8 +474,11 @@ func (nw *Network) AddNode(addr int) (*Node, Cost, error) {
 // Grow adds count nodes at distinct random free points and returns them. On
 // an empty overlay the whole batch is built in one pass (the only way to
 // populate protocols without dynamic insertion); later calls insert
-// dynamically one by one.
+// dynamically one by one. A negative count is an error.
 func (nw *Network) Grow(count int) ([]*Node, error) {
+	if count < 0 {
+		return nil, fmt.Errorf("tapestry: cannot grow by %d nodes", count)
+	}
 	if nw.Size() == 0 {
 		addrs, err := nw.freeAddrs(count)
 		if err != nil {
@@ -528,7 +520,7 @@ func (nw *Network) isFreeLocked(a int) bool {
 // point, and the stack is rebuilt (reshuffled over the currently free set)
 // only when exhausted — so a full overlay construction costs O(size) total
 // instead of the O(size) per call a linear probe pays on a dense space
-// (quadratic growth; see BenchmarkFreeAddr).
+// (quadratic growth; BENCH_micro.json's FreeAddr row).
 func (nw *Network) freeAddr() (int, error) {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()

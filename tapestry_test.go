@@ -1,6 +1,8 @@
 package tapestry
 
 import (
+	"errors"
+	"os/exec"
 	"strings"
 	"sync"
 	"testing"
@@ -240,5 +242,153 @@ func TestFacadeLocateAllocationBudget(t *testing.T) {
 	locate() // warms the frame pool
 	if n := testing.AllocsPerRun(500, locate); n > 2 {
 		t.Errorf("%v allocs per facade Locate, want at most 2", n)
+	}
+}
+
+// TestFacadeRejectsOutOfRangeInput pins the package comment's "never panic"
+// at the facade boundary: a point outside the metric space and a negative
+// node count are errors (RegionOf answers -1), on every backing protocol,
+// and none of them changes the membership.
+func TestFacadeRejectsOutOfRangeInput(t *testing.T) {
+	cases := []struct {
+		name string
+		call func(nw *Network) error // non-nil = rejected
+	}{
+		{"AddNode past the space", func(nw *Network) error { _, _, err := nw.AddNode(99); return err }},
+		{"AddNode at the space's size", func(nw *Network) error { _, _, err := nw.AddNode(16); return err }},
+		{"AddNode negative", func(nw *Network) error { _, _, err := nw.AddNode(-3); return err }},
+		{"Grow negative", func(nw *Network) error { _, err := nw.Grow(-1); return err }},
+	}
+	for _, p := range []Protocol{Tapestry, Chord, Pastry, CAN, Directory} {
+		p := p
+		t.Run(p.String(), func(t *testing.T) {
+			for _, populated := range []bool{false, true} {
+				nw, err := NewProtocol(RingSpace(16), p, Defaults())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer nw.Close()
+				if populated {
+					if _, err := nw.Grow(4); err != nil {
+						t.Fatal(err)
+					}
+				}
+				size := nw.Size()
+				for _, c := range cases {
+					if err := c.call(nw); err == nil {
+						t.Errorf("%s (populated=%v): accepted", c.name, populated)
+					}
+					if nw.Size() != size {
+						t.Fatalf("%s (populated=%v): membership %d -> %d", c.name, populated, size, nw.Size())
+					}
+				}
+			}
+
+			space := TransitStubSpace(3)
+			nw, err := NewProtocol(space, p, Defaults())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nw.Close()
+			for _, addr := range []int{-1, space.Size(), space.Size() + 7} {
+				if r := nw.RegionOf(addr); r != -1 {
+					t.Errorf("RegionOf(%d) = %d, want -1", addr, r)
+				}
+			}
+		})
+	}
+}
+
+// TestVirtualTimeSurface is the consumer that keeps Config.EventDriven,
+// Schedule, RunEvents and VirtualNow on the facade: locates scheduled at
+// distinct virtual times around a scheduled Leave all succeed, the clock ends
+// past the last scheduled start, the same seed replays the same traffic, and
+// a direct-call network refuses both calls with ErrNotEventDriven.
+func TestVirtualTimeSurface(t *testing.T) {
+	const lastAt = 9.0
+	run := func() (msgs int64, now float64) {
+		cfg := Defaults()
+		cfg.EventDriven = true
+		cfg.Seed = 7
+		nw, err := New(RingSpace(128), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes, err := nw.Grow(32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := nodes[0].Publish("timed"); err != nil {
+			t.Fatal(err)
+		}
+		if nw.VirtualNow() != 0 {
+			t.Fatalf("clock at %v before any event ran", nw.VirtualNow())
+		}
+		found := 0
+		locate := func(n *Node) func() {
+			return func() {
+				if res, _ := n.Locate("timed"); res.Found {
+					found++
+				}
+			}
+		}
+		// Locates on both sides of — and, in virtual time, during — the
+		// departure of a node that is neither client nor server.
+		ats := []float64{1, 2.5, 4, 4.001, 4.002, 6, lastAt}
+		for i, at := range ats {
+			if err := nw.Schedule(at, locate(nodes[1+i])); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := nw.Schedule(4, func() {
+			if _, err := nodes[20].Leave(); err != nil {
+				t.Errorf("scheduled Leave: %v", err)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := nw.RunEvents(); err != nil {
+			t.Fatal(err)
+		}
+		if found != len(ats) {
+			t.Errorf("%d of %d scheduled locates found the object", found, len(ats))
+		}
+		if nw.Size() != 31 {
+			t.Errorf("size %d after the scheduled Leave, want 31", nw.Size())
+		}
+		return nw.TotalMessages(), nw.VirtualNow()
+	}
+	msgs, now := run()
+	if now <= lastAt {
+		t.Errorf("VirtualNow %v not past the last scheduled start %v", now, lastAt)
+	}
+	if again, _ := run(); again != msgs {
+		t.Errorf("same seed replayed %d messages, then %d", msgs, again)
+	}
+
+	direct, _ := newNet(t, 4)
+	if err := direct.Schedule(1, func() {}); !errors.Is(err, ErrNotEventDriven) {
+		t.Errorf("Schedule on a direct-call network: %v", err)
+	}
+	if err := direct.RunEvents(); !errors.Is(err, ErrNotEventDriven) {
+		t.Errorf("RunEvents on a direct-call network: %v", err)
+	}
+	if direct.VirtualNow() != 0 {
+		t.Errorf("direct-call clock at %v", direct.VirtualNow())
+	}
+}
+
+// TestBenchModuleVets type-checks the frozen benchmark harness against this
+// tree. bench/ is a module of its own, so `go test ./...` here never compiles
+// it, and a deleted internal symbol it imports would otherwise break it
+// unseen.
+func TestBenchModuleVets(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles a second module")
+	}
+	cmd := exec.Command("go", "vet", "./...")
+	cmd.Dir = "bench"
+	if out, err := cmd.CombinedOutput(); err != nil || len(out) != 0 {
+		t.Fatalf("go vet ./... in bench/: %v\n%s", err, out)
 	}
 }
