@@ -129,7 +129,7 @@ func dumpObject(m *Mesh, guid ids.ID, server, client *Node) string {
 		for _, cur := range path {
 			cur.mu.Lock()
 			recs := "none"
-			if st := cur.objects[guid]; st != nil {
+			if st := cur.find(guid); st != nil {
 				recs = ""
 				for _, r := range st.recs {
 					recs += fmt.Sprintf("(srv=%v lastHop=%v lvl=%d root=%v) ", r.server, r.lastHop, r.level, r.root)
@@ -143,13 +143,14 @@ func dumpObject(m *Mesh, guid ids.ID, server, client *Node) string {
 	}
 	// Server's view of whether it still publishes.
 	server.mu.Lock()
-	out += fmt.Sprintf("server published=%v pointerCount=%d\n", server.published[guid], 0)
+	_, serves := server.published.Get(guid)
 	server.mu.Unlock()
+	out += fmt.Sprintf("server published=%v pointerCount=%d\n", serves, 0)
 	// Global pointer census for this guid.
 	out += "all recs:\n"
 	for _, n := range m.Nodes() {
 		n.mu.Lock()
-		if st := n.objects[guid]; st != nil {
+		if st := n.find(guid); st != nil {
 			for _, r := range st.recs {
 				out += fmt.Sprintf("  at %v: srv=%v lastHop=%v lvl=%d root=%v epoch=%d\n",
 					n.id, r.server, r.lastHop, r.level, r.root, r.epoch)

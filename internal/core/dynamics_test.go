@@ -228,7 +228,7 @@ func TestSoftStateExpiry(t *testing.T) {
 	// Stop serving without unpublishing (a crash of the app, not the node),
 	// then let the TTL lapse: pointers must evaporate.
 	server.mu.Lock()
-	delete(server.published, guid)
+	server.published.Delete(guid)
 	server.mu.Unlock()
 	for i := int64(0); i <= m.Config().PointerTTL; i++ {
 		now := m.Net().Tick()
@@ -527,7 +527,7 @@ func TestLocateBouncesToVisitedSurrogate(t *testing.T) {
 	var client *Node
 	for _, c := range nodes[1:] {
 		c.mu.Lock()
-		_, holds := c.objects[g]
+		holds := c.find(g) != nil
 		c.mu.Unlock()
 		if !holds {
 			client = c

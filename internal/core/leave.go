@@ -9,16 +9,19 @@ import (
 	"tapestry/internal/route"
 )
 
-// sortedGUIDs returns the keys of a node's object-pointer map in ascending
-// ID order: the pointer store is the one per-node structure still kept in a
-// map, and pointer re-routing order — which decides convergence teardowns and
-// message costs at every peer — must not be map-iteration order. (Table state
-// needs no such helper: route.Table stores its sets and backpointers in
-// canonical order.)
-func sortedGUIDs(objects map[ids.ID]*objState) []ids.ID {
-	guids := make([]ids.ID, 0, len(objects))
-	for g := range objects {
-		guids = append(guids, g)
+// sortedGUIDs returns the keys of one of a node's GUID-keyed tables — the
+// pointer store, the published set — in ascending ID order. They are the
+// per-node structures still kept in a hash table, probed and never walked in
+// order; pointer re-routing and republish order — which decide convergence
+// teardowns and message costs at every peer — must not be slot order.
+// (Routing state needs no such helper: route.Table stores its sets and
+// backpointers in canonical order.)
+func sortedGUIDs[V any](t *ids.Table[V]) []ids.ID {
+	guids := make([]ids.ID, 0, t.Len())
+	for i := 0; i < t.Slots(); i++ {
+		if g, _, ok := t.At(i); ok {
+			guids = append(guids, g)
+		}
 	}
 	slices.SortFunc(guids, ids.ID.Compare)
 	return guids

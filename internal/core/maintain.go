@@ -46,34 +46,31 @@ import (
 func (m *Mesh) SweepDeadAll(cost *netsim.Cost) int {
 	f := m.getFrames()
 	sc := &f.sweep
-	if sc.verdict == nil {
-		sc.verdict = map[ids.ID]bool{}
-	}
 	removed := 0
 	for _, n := range m.Nodes() {
 		sc.links = n.appendNeighbors(sc.links[:0])
 		for _, e := range sc.links {
-			alive, probed := sc.verdict[e.ID]
+			alive, probed := sc.verdict.Get(e.ID)
 			if !probed {
 				_, err := m.invoke(n.addr, e, msgPing, msgAck, cost, false)
 				alive = err == nil
-				sc.verdict[e.ID] = alive
+				sc.verdict.Put(e.ID, alive)
 			}
 			if !alive {
 				removed += n.noteDead(e, cost)
 			}
 		}
 	}
-	clear(sc.verdict)
+	sc.verdict.Clear()
 	m.putFrames(f)
 	return removed
 }
 
 // sweepScratch is SweepDeadAll's reusable state, recycled with the
 // operation's msgFrames like caravanScratch: the epoch's liveness verdicts
-// (cleared, so the map keeps its buckets) and the flat link snapshot.
+// (cleared, so the table keeps its slots) and the flat link snapshot.
 type sweepScratch struct {
-	verdict map[ids.ID]bool
+	verdict ids.Table[bool]
 	links   []route.Entry
 }
 

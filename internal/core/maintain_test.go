@@ -18,8 +18,8 @@ func sortedPointerState(m *Mesh) string {
 	var lines []string
 	for _, n := range m.Nodes() {
 		n.mu.Lock()
-		for _, g := range sortedGUIDs(n.objects) {
-			for _, r := range n.objects[g].recs {
+		for _, g := range sortedGUIDs(&n.objects) {
+			for _, r := range n.find(g).recs {
 				lines = append(lines, fmt.Sprintf(
 					"%v %v srv=%v key=%v lvl=%d last=%v root=%v ep=%d",
 					n.id, g, r.server, r.key, r.level, r.lastHop, r.root, r.epoch))
@@ -164,7 +164,7 @@ func TestRepublishBatchedDeadHop(t *testing.T) {
 				continue
 			}
 			n.mu.Lock()
-			_, holds := n.objects[guids[0]]
+			holds := n.find(guids[0]) != nil
 			n.mu.Unlock()
 			if holds {
 				victim = n

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 
 	"tapestry/internal/ids"
@@ -43,43 +44,41 @@ const (
 
 // nnScratch is the search engine's reusable arena: the measured candidate
 // pool, per-peer query state and three fold/result buffers. Searches run on
-// every repair, join and refresh, and their maps and slices dominated the
+// every repair, join and refresh, and their tables and slices dominated the
 // engine's allocation profile; arenas recycle through Mesh.nnScratchPool so
-// a steady-state mesh stops allocating them at all. All maps key by the
-// comparable ids.ID — never by ID.String().
+// a steady-state mesh stops allocating them at all.
 //
 // The pool is kept in (distance, ID) order — the order the routing table
 // keeps its sets in — by inserting each new candidate at its rank, so
 // selecting a level's k closest matchers is a filtered walk of a prefix and
 // nothing is ever sorted. A candidate whose probe failed is deleted from the
-// pool; known remembers every ID ever pooled, so neither a duplicate answer
+// pool; seen remembers every ID ever pooled, so neither a duplicate answer
 // nor a corpse is measured or pooled twice.
 type nnScratch struct {
-	pool   []route.Entry
-	known  map[ids.ID]struct{}
-	floors map[ids.ID]int // lowest row floor this peer has been queried at
-	list   []route.Entry  // closest/matchers result (re-filled per call)
-	seeds  []route.Entry  // vantage-table seed gathering
-	found  []route.Entry  // per-peer fold buffer
+	pool  []route.Entry
+	seen  ids.Table[int] // every ID ever pooled -> lowest row floor it has been queried at, or nnUnqueried
+	list  []route.Entry  // closest/matchers result (re-filled per call)
+	seeds []route.Entry  // vantage-table seed gathering
+	found []route.Entry  // per-peer fold buffer
 
 	// bandReq/bandResp are the recycled wire messages of queryPeer's
 	// table-band RPC; bandResp decodes straight into the found buffer.
 	bandReq  wire.TableBandReq
 	bandResp wire.TableBandResp
+
+	// search is the header of the search running on this arena: recycled
+	// with it, so starting a search allocates nothing.
+	search nnSearch
 }
 
-func newNNScratch() *nnScratch {
-	return &nnScratch{
-		known:  make(map[ids.ID]struct{}, 64),
-		floors: make(map[ids.ID]int, 32),
-	}
-}
+// nnUnqueried is the floor of a pooled candidate no query has reached yet:
+// above every level, so any floor is new to it.
+const nnUnqueried = math.MaxInt
 
-// reset clears the arena for reuse; Go compiles the map-range deletes to a
-// bulk clear, and the slices keep their capacity.
+// reset clears the arena for reuse; the table and the slices keep their
+// storage.
 func (sc *nnScratch) reset() {
-	clear(sc.known)
-	clear(sc.floors)
+	sc.seen.Clear()
 	sc.pool = sc.pool[:0]
 	sc.list = sc.list[:0]
 	sc.seeds = sc.seeds[:0]
@@ -110,22 +109,18 @@ type nnSearch struct {
 }
 
 func (n *Node) newNNSearch(k int, avoid ids.ID, cost *netsim.Cost) *nnSearch {
-	return &nnSearch{
-		n:         n,
-		k:         k,
-		cost:      cost,
-		avoid:     avoid,
-		nnScratch: n.mesh.getNNScratch(),
-	}
+	sc := n.mesh.getNNScratch()
+	sc.search = nnSearch{n: n, k: k, cost: cost, avoid: avoid, nnScratch: sc}
+	return &sc.search
 }
 
 // release returns the arena to the mesh pool. The search must not be used
 // afterwards, and any matchers() result the caller wants to keep must be
 // copied first (it aliases the arena's list buffer).
 func (s *nnSearch) release() {
-	sc := s.nnScratch
-	s.nnScratch = nil
-	s.n.mesh.putNNScratch(sc)
+	sc, m := s.nnScratch, s.n.mesh
+	*s = nnSearch{} // a pooled arena pins no node, meter or callback
+	m.putNNScratch(sc)
 }
 
 // poolRank returns the position of e in the pool — or where it would be
@@ -149,10 +144,9 @@ func (s *nnSearch) add(e route.Entry) {
 	if e.ID.IsZero() || e.ID.Equal(s.n.id) || e.ID.Equal(s.avoid) {
 		return
 	}
-	if _, ok := s.known[e.ID]; ok {
+	if !s.seen.Add(e.ID, nnUnqueried) {
 		return
 	}
-	s.known[e.ID] = struct{}{}
 	e.Distance = s.n.mesh.net.Distance(s.n.addr, e.Addr)
 	e.Pinned, e.Leaving = false, false
 	i, _ := s.poolRank(e)
@@ -160,25 +154,11 @@ func (s *nnSearch) add(e route.Entry) {
 }
 
 // fail drops a candidate whose probe failed from the pool for good: it stays
-// known, so a later answer naming it is not pooled again.
+// seen, so a later answer naming it is not pooled again.
 func (s *nnSearch) fail(e route.Entry) {
 	if i, ok := s.poolRank(e); ok {
 		s.pool = slices.Delete(s.pool, i, i+1)
 	}
-}
-
-// prefixMatch returns the number of leading digits id shares with p.
-func prefixMatch(id ids.ID, p ids.Prefix) int {
-	n := p.Len()
-	if id.Len() < n {
-		n = id.Len()
-	}
-	for i := 0; i < n; i++ {
-		if id.Digit(i) != p.Digit(i) {
-			return i
-		}
-	}
-	return n
 }
 
 // closest returns the first limit pooled candidates sharing at least m digits
@@ -193,7 +173,7 @@ func (s *nnSearch) closest(p ids.Prefix, m, limit int) []route.Entry {
 		if len(out) == limit {
 			break
 		}
-		if prefixMatch(e.ID, p) >= m {
+		if e.ID.MatchLen(p) >= m {
 			out = append(out, e)
 		}
 	}
@@ -219,22 +199,22 @@ func appendSeedBand(dst []route.Entry, t *route.Table, level int) []route.Entry 
 	return dst
 }
 
-// queryPeer contacts a candidate and folds its forward rows and backpointers
-// at levels >= floor into the pool. Dead peers are marked failed (their
-// cleanup belongs to the caller's sweep, not to the search — recursing into
-// repair from inside a repair's own search would re-enter this code).
+// queryPeer contacts a pooled candidate and folds its forward rows and
+// backpointers at levels >= floor into the pool. Dead peers are marked failed
+// (their cleanup belongs to the caller's sweep, not to the search — recursing
+// into repair from inside a repair's own search would re-enter this code).
 func (s *nnSearch) queryPeer(e route.Entry, floor int) bool {
 	// A peer queried before at a higher floor already contributed its rows
 	// [prevFloor, Levels); re-fold only the newly exposed band below it —
 	// the dedup in add() would discard the rest anyway.
 	fold := -1 // exclusive upper bound; -1 = everything above floor
-	if f, ok := s.floors[e.ID]; ok {
+	if f, _ := s.seen.Get(e.ID); f != nnUnqueried {
 		if floor >= f {
 			return true // nothing new to gather
 		}
 		fold = f
 	}
-	s.floors[e.ID] = floor
+	s.seen.Put(e.ID, floor)
 	s.bandReq.Floor, s.bandReq.Fold = floor, fold
 	s.bandResp.Entries = s.found[:0]
 	peer, err := s.n.mesh.invoke(s.n.addr, e, &s.bandReq, &s.bandResp, s.cost, false)
@@ -271,7 +251,7 @@ func (s *nnSearch) expandLevel(p ids.Prefix, m, rounds int) {
 		list := s.closest(p, m, s.k)
 		progressed := false
 		for _, c := range list {
-			if f, ok := s.floors[c.ID]; ok && f <= floor {
+			if f, _ := s.seen.Get(c.ID); f <= floor {
 				continue
 			}
 			s.queryPeer(c, floor)

@@ -88,7 +88,7 @@ func TestNNSearchPoolMatchesSortModel(t *testing.T) {
 			lvl := rng.Intn(p.Len() + 1)
 			var want []route.Entry
 			for id, e := range ref {
-				if !failed[id] && prefixMatch(id, p) >= lvl {
+				if !failed[id] && id.MatchLen(p) >= lvl {
 					want = append(want, e)
 				}
 			}
@@ -272,8 +272,8 @@ func meshFingerprint(m *Mesh) string {
 				fmt.Fprintf(&b, "  b %d %v@%d\n", l, e.ID, e.Addr)
 			}
 		}
-		for _, g := range sortedGUIDs(n.objects) {
-			for _, r := range n.objects[g].recs {
+		for _, g := range sortedGUIDs(&n.objects) {
+			for _, r := range n.find(g).recs {
 				fmt.Fprintf(&b, "  o %s srv=%v lvl=%d root=%v\n", g, r.server, r.level, r.root)
 			}
 		}

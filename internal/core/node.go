@@ -191,13 +191,13 @@ type Node struct {
 
 	mu      sync.Mutex
 	table   *route.Table
-	objects map[ids.ID]*objState // GUID -> pointer records (the pointer store, objects.go)
+	objects ids.Table[*objState] // GUID -> pointer records (the pointer store, objects.go)
 	free    *objState            // released states, linked through next, for the next deposit
 	state   lifecycle            // written under mu, readable without it
 
 	// published lists the GUIDs this node serves replicas of (it is a
 	// storage server for them); used for republish and audits.
-	published map[ids.ID]bool
+	published ids.Table[struct{}]
 
 	// cache is the bounded LRU of location mappings for the serving layer
 	// (cache.go); nil unless Config.LocateCacheCap > 0. Guarded by mu.
@@ -311,7 +311,7 @@ func (m *Mesh) getNNScratch() *nnScratch {
 	if sc, ok := m.nnScratchPool.Get().(*nnScratch); ok {
 		return sc
 	}
-	return newNNScratch()
+	return new(nnScratch)
 }
 
 func (m *Mesh) putNNScratch(sc *nnScratch) {
@@ -378,14 +378,12 @@ func (m *Mesh) Bootstrap(id ids.ID, addr netsim.Addr) (*Node, error) {
 func (m *Mesh) newNode(id ids.ID, addr netsim.Addr) *Node {
 	label := id.String()
 	n := &Node{
-		mesh:      m,
-		id:        id,
-		addr:      addr,
-		label:     label,
-		table:     route.New(m.cfg.Spec, id, addr, m.cfg.R),
-		objects:   make(map[ids.ID]*objState),
-		published: make(map[ids.ID]bool),
-		rootSalt:  uint64(stats.StreamSeed(m.cfg.Seed, label, 0)),
+		mesh:     m,
+		id:       id,
+		addr:     addr,
+		label:    label,
+		table:    route.New(m.cfg.Spec, id, addr, m.cfg.R),
+		rootSalt: uint64(stats.StreamSeed(m.cfg.Seed, label, 0)),
 	}
 	if m.cfg.LocateCacheCap > 0 {
 		n.cache = newLocateCache(m.cfg.LocateCacheCap, m.cfg.PointerTTL)

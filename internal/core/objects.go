@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-
 	"tapestry/internal/ids"
 	"tapestry/internal/netsim"
 	"tapestry/internal/route"
@@ -25,7 +23,7 @@ type pointerRec struct {
 	// level and root share a word: a state with its inline record and its
 	// free-list link is 128 bytes, where the 24-byte state and the 112-byte
 	// block of its one-record array were 136.
-	level uint8 // digits resolved when the publish arrived here (a Spec has at most 64)
+	level uint8 // digits resolved when the publish arrived here (at most ids.MaxDigits)
 	root  bool  // the publish path terminated at this node
 }
 
@@ -35,14 +33,15 @@ func (r *pointerRec) samePath(server, key ids.ID) bool {
 	return r.server.Equal(server) && r.key.Equal(key)
 }
 
-// The pointer store. Node.objects maps a GUID to the node's pointer set for
-// it, an objState; Section 2.2 puts a pointer at every hop of every publish
-// path and Section 6.5 withdraws, expires and re-lays them forever, so every
-// publish, unpublish, locate and republish comes through here at every hop.
-// Three rules keep that churn off the heap and the map:
+// The pointer store. Node.objects — an ids.Table, whose probe is a multiply
+// and word compares — takes a GUID to the node's pointer set for it, an
+// objState; Section 2.2 puts a pointer at every hop of every publish path and
+// Section 6.5 withdraws, expires and re-lays them forever, so every publish,
+// unpublish, locate and republish comes through here at every hop. Three
+// rules keep that churn off the heap and out of the table:
 //
-//  1. One probe per arrival. find and findOrMake are the store's only map
-//     reads; an operation probes once per hold of the node's lock and works
+//  1. One probe per arrival. find and findOrMake are the store's only
+//     probes; an operation probes once per hold of the node's lock and works
 //     on the *objState it got for the rest of that hold.
 //  2. Nothing outlives the lock. An *objState, or a window of its records, is
 //     never kept past the release of Node.mu — the state may be recycled for
@@ -50,8 +49,8 @@ func (r *pointerRec) samePath(server, key ids.ID) bool {
 //     out by value.
 //  3. release is the only exit. Every way a record leaves — unpublish, purge,
 //     expiry, Figure 9 teardown — ends in drop or expirePointers, which hand
-//     an emptied state to release: the one place a state leaves the map, and
-//     where it joins the node's free list for the next publish to reuse.
+//     an emptied state to release: the one place a state leaves the table,
+//     and where it joins the node's free list for the next publish to reuse.
 
 // objState is a node's pointer set for one GUID. The first record lives in
 // the state itself — recs opens as a window of one — so the usual single
@@ -97,12 +96,15 @@ func (o *objState) flagRoot(server, key ids.ID) {
 // find returns n's pointer set for guid, nil when it holds none. The store
 // is keyed by the *unsalted* GUID so queries (which know only the GUID) find
 // pointers deposited along any salted path. The caller holds n.mu.
-func (n *Node) find(guid ids.ID) *objState { return n.objects[guid] }
+func (n *Node) find(guid ids.ID) *objState {
+	st, _ := n.objects.Get(guid)
+	return st
+}
 
 // findOrMake is find for a deposit: a GUID new to n gets an empty state, off
 // the free list when it has one. The caller holds n.mu.
 func (n *Node) findOrMake(guid ids.ID) *objState {
-	st := n.objects[guid]
+	st := n.find(guid)
 	if st == nil {
 		if st = n.free; st != nil {
 			n.free, st.next = st.next, nil
@@ -110,7 +112,7 @@ func (n *Node) findOrMake(guid ids.ID) *objState {
 			st = new(objState)
 		}
 		st.recs = st.one[:0]
-		n.objects[guid] = st
+		n.objects.Put(guid, st)
 	}
 	return st
 }
@@ -119,7 +121,7 @@ func (n *Node) findOrMake(guid ids.ID) *objState {
 // a free state pins no identifier and no grown record array — on n's free
 // list. The caller holds n.mu.
 func (n *Node) release(guid ids.ID, st *objState) {
-	delete(n.objects, guid)
+	n.objects.Delete(guid)
 	window := st.recs[:cap(st.recs)]
 	*st = objState{next: n.free}
 	n.free = st
@@ -171,7 +173,7 @@ func (n *Node) purgePointer(guid, server, key ids.ID) {
 // from n toward the root, depositing an object pointer at every hop.
 func (n *Node) Publish(guid ids.ID, cost *netsim.Cost) error {
 	n.mu.Lock()
-	n.published[guid] = true
+	n.published.Put(guid, struct{}{})
 	n.mu.Unlock()
 	return n.republishObject(guid, cost)
 }
@@ -275,7 +277,7 @@ func entryAt(id ids.ID, addr netsim.Addr) route.Entry {
 // nodes, so the serving layer forgets the replica along with the pointers.
 func (n *Node) Unpublish(guid ids.ID, cost *netsim.Cost) {
 	n.mu.Lock()
-	delete(n.published, guid)
+	n.published.Delete(guid)
 	n.mu.Unlock()
 	spec := n.mesh.cfg.Spec
 	f := n.mesh.getFrames()
@@ -519,20 +521,15 @@ func (w *walk) serveHint(cur *Node, f *msgFrames) bool {
 }
 
 // PublishedObjects lists the GUIDs this node serves, in ascending ID order
-// (the store is a map; callers iterate the result where order has
+// (the set is a hash table; callers iterate the result where order has
 // observable effects, e.g. republish sequencing).
 func (n *Node) PublishedObjects() []ids.ID {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if len(n.published) == 0 {
+	if n.published.Len() == 0 {
 		return nil // most nodes serve nothing; the republish epoch asks every one
 	}
-	out := make([]ids.ID, 0, len(n.published))
-	for g := range n.published {
-		out = append(out, g)
-	}
-	slices.SortFunc(out, ids.ID.Compare)
-	return out
+	return sortedGUIDs(&n.published)
 }
 
 // PointerCount returns the number of object pointers stored at this node
@@ -541,8 +538,10 @@ func (n *Node) PointerCount() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	c := 0
-	for _, st := range n.objects {
-		c += len(st.recs)
+	for i := 0; i < n.objects.Slots(); i++ {
+		if _, st, ok := n.objects.At(i); ok {
+			c += len(st.recs)
+		}
 	}
 	return c
 }
@@ -553,7 +552,11 @@ func (n *Node) RootCount() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	c := 0
-	for _, st := range n.objects {
+	for i := 0; i < n.objects.Slots(); i++ {
+		_, st, ok := n.objects.At(i)
+		if !ok {
+			continue
+		}
 		for _, r := range st.recs {
 			if r.root {
 				c++
@@ -569,7 +572,11 @@ func (n *Node) expirePointers(now int64) {
 	ttl := n.mesh.cfg.PointerTTL
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	for g, st := range n.objects {
+	for slot := 0; slot < n.objects.Slots(); slot++ {
+		g, st, ok := n.objects.At(slot)
+		if !ok {
+			continue
+		}
 		// Scan first: in a refreshed store nothing has expired, and the
 		// common epoch must not rewrite every record of every node.
 		i := 0
@@ -588,6 +595,7 @@ func (n *Node) expirePointers(now int64) {
 		st.recs = kept
 		if len(st.recs) == 0 {
 			n.release(g, st)
+			slot-- // the release closed the gap: this slot holds another state now, or none
 		}
 	}
 	if n.cache != nil {
@@ -623,12 +631,12 @@ func (n *Node) OptimizeObjectPtrs(cost *netsim.Cost) {
 // that pick selects, each from its own arrival level or — with restart — from
 // level 0, the true-root computation: the root may have diverged from this
 // node's path at any level, not just the record's. pick runs under n.mu and
-// may edit the stored record. Records go in (GUID, stored) order, never map
+// may edit the stored record. Records go in (GUID, stored) order, never slot
 // order: the order decides repair traffic at every peer.
 func (n *Node) reroutePointers(cost *netsim.Cost, exclude ids.ID, restart, bounce bool, pick func(r *pointerRec) bool) {
 	n.mu.Lock()
 	var work []pointerRec
-	for _, g := range sortedGUIDs(n.objects) {
+	for _, g := range sortedGUIDs(&n.objects) {
 		recs := n.find(g).recs
 		for i := range recs {
 			if pick(&recs[i]) {

@@ -54,7 +54,7 @@ func BenchmarkServeQueryManyPointers(b *testing.B) {
 			var serving *Node
 			for _, n := range nodes {
 				n.mu.Lock()
-				st := n.objects[guid]
+				st := n.find(guid)
 				hit := st != nil && len(st.recs) == replicas
 				n.mu.Unlock()
 				if hit {

@@ -65,7 +65,7 @@ func TestReadRepairAfterHealedPartition(t *testing.T) {
 			for _, nd := range nodes {
 				nd.mu.Lock()
 				holds := false
-				if st := nd.objects[guid]; st != nil {
+				if st := nd.find(guid); st != nil {
 					for _, r := range st.recs {
 						if r.key.Equal(key1) {
 							holds = true

@@ -111,11 +111,14 @@ func (n *Node) readRepair(guid ids.ID, res LocateResult, missed []int, cost *net
 // (read-repair). A receiver that does not serve the object ignores the
 // request rather than resurrecting pointers to a copy it does not hold.
 func (n *Node) handlePublishReq(q *wire.PublishReq, cost *netsim.Cost) {
+	if q.GUID.IsZero() {
+		return // names no object (and is no table key); only a malformed request carries it
+	}
 	n.mu.Lock()
 	if q.Adopt {
-		n.published[q.GUID] = true
+		n.published.Put(q.GUID, struct{}{})
 	}
-	serves := n.published[q.GUID]
+	_, serves := n.published.Get(q.GUID)
 	n.mu.Unlock()
 	if !serves {
 		return

@@ -95,7 +95,7 @@ func TestStoreEveryExitRecyclesCleanly(t *testing.T) {
 			// The application stops serving without withdrawing; the
 			// baseline's servers keep republishing theirs.
 			srv.mu.Lock()
-			delete(srv.published, guid)
+			srv.published.Delete(guid)
 			srv.mu.Unlock()
 			for i := int64(0); i <= m.cfg.PointerTTL; i++ {
 				m.RunMaintenanceEpoch(nil)
@@ -109,7 +109,7 @@ func TestStoreEveryExitRecyclesCleanly(t *testing.T) {
 		}},
 		{"purge: the server withdrew", func(t *testing.T, m *Mesh, srv *Node, guid ids.ID, releases *int) {
 			srv.mu.Lock()
-			delete(srv.published, guid)
+			srv.published.Delete(guid)
 			srv.mu.Unlock()
 			for _, c := range m.Nodes() {
 				c.Locate(guid, nil)

@@ -271,7 +271,7 @@ func (target *Node) dispatch(req, resp wire.Msg, cost *netsim.Cost) {
 		resp.(*wire.ShareResp).Adopted = target.considerEntries(q.Entries, cost)
 	case *wire.VerifyReq:
 		target.mu.Lock()
-		resp.(*wire.VerifyResp).Serves = target.published[q.GUID]
+		_, resp.(*wire.VerifyResp).Serves = target.published.Get(q.GUID)
 		target.mu.Unlock()
 	case *wire.PublishReq:
 		target.handlePublishReq(q, cost)

@@ -107,7 +107,7 @@ func (ar *arena) inserter(t testing.TB) *Node {
 func (ar *arena) plant(key ids.ID) pointerRec {
 	rec := pointerRec{guid: key, server: ar.a.id, serverAddr: ar.a.addr, key: key, lastAddr: ar.a.addr}
 	ar.a.mu.Lock()
-	ar.a.objects[key] = &objState{recs: []pointerRec{rec}}
+	ar.a.objects.Put(key, &objState{recs: []pointerRec{rec}})
 	ar.a.mu.Unlock()
 	return rec
 }
@@ -169,7 +169,7 @@ func nodeName(n *Node) string {
 func (ar *arena) rootOf(key ids.ID) *Node {
 	for _, n := range ar.m.Nodes() {
 		n.mu.Lock()
-		st := n.objects[key]
+		st := n.find(key)
 		n.mu.Unlock()
 		if st == nil {
 			continue

@@ -13,10 +13,11 @@ func TestSpecValidate(t *testing.T) {
 	}{
 		{Spec{Base: 16, Digits: 8}, true},
 		{Spec{Base: 2, Digits: 1}, true},
-		{Spec{Base: 64, Digits: 64}, true},
+		{Spec{Base: 64, Digits: MaxDigits}, true},
 		{Spec{Base: 1, Digits: 8}, false},
 		{Spec{Base: 65, Digits: 8}, false},
 		{Spec{Base: 16, Digits: 0}, false},
+		{Spec{Base: 16, Digits: MaxDigits + 1}, false},
 		{Spec{Base: 16, Digits: 65}, false},
 	}
 	for _, c := range cases {
@@ -34,8 +35,8 @@ func TestNamespace(t *testing.T) {
 	if got := (Spec{Base: 16, Digits: 8}).Namespace(); got != 1<<32 {
 		t.Errorf("16^8 namespace = %d, want 2^32", got)
 	}
-	if got := (Spec{Base: 64, Digits: 64}).Namespace(); got != ^uint64(0) {
-		t.Errorf("64^64 namespace should saturate, got %d", got)
+	if got := (Spec{Base: 64, Digits: MaxDigits}).Namespace(); got != ^uint64(0) {
+		t.Errorf("64^20 namespace should saturate, got %d", got)
 	}
 }
 
@@ -116,7 +117,7 @@ func TestHashDeterministic(t *testing.T) {
 }
 
 func TestHashDigitsInRange(t *testing.T) {
-	for _, spec := range []Spec{{Base: 4, Digits: 16}, {Base: 16, Digits: 40}, {Base: 64, Digits: 20}} {
+	for _, spec := range []Spec{{Base: 4, Digits: 16}, {Base: 16, Digits: MaxDigits}, {Base: 64, Digits: MaxDigits}} {
 		for i := 0; i < 100; i++ {
 			id := spec.Hash(string(rune('a' + i%26)))
 			for j := 0; j < id.Len(); j++ {
@@ -305,7 +306,7 @@ func TestQuickSurrogateOrderPermutation(t *testing.T) {
 // Property: String/Parse round-trips for random specs.
 func TestQuickRoundTrip(t *testing.T) {
 	f := func(baseRaw, digitsRaw uint8, seed int64) bool {
-		spec := Spec{Base: 2 + int(baseRaw)%63, Digits: 1 + int(digitsRaw)%32}
+		spec := Spec{Base: 2 + int(baseRaw)%63, Digits: 1 + int(digitsRaw)%MaxDigits}
 		id := spec.Random(rand.New(rand.NewSource(seed)))
 		back, err := spec.Parse(id.String())
 		return err == nil && back.Equal(id)

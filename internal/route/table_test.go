@@ -2,6 +2,7 @@ package route
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -10,6 +11,34 @@ import (
 )
 
 var spec = ids.Spec{Base: 4, Digits: 4}
+
+// TestEntryIsFortyPointerFreeBytes pins what every routing table, search pool
+// and list payload is made of: an entry is five words, and none of them is a
+// pointer — the identifier is its digits, not a reference to them — so the
+// collector never scans a table and a copied entry shares nothing.
+func TestEntryIsFortyPointerFreeBytes(t *testing.T) {
+	typ := reflect.TypeOf(Entry{})
+	if typ.Size() != 40 {
+		t.Errorf("route.Entry is %d bytes, want 40", typ.Size())
+	}
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64:
+		default:
+			t.Errorf("%s is a %v: an entry must hold no pointer", path, typ.Kind())
+		}
+	}
+	walk("Entry", typ)
+}
 
 func id(t *testing.T, s string) ids.ID {
 	t.Helper()

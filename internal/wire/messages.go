@@ -211,7 +211,7 @@ func (m *RouteStep) EncodeTo(e *Enc) {
 	e.U8(byte(m.Op))
 }
 func (m *RouteStep) DecodeFrom(d *Dec) {
-	d.IDInto(&m.Key)
+	m.Key = d.ID()
 	m.Level = d.Int()
 	m.Op = RouteOp(d.U8())
 }
@@ -289,8 +289,8 @@ func (m *LocateStep) EncodeTo(e *Enc) {
 	e.Int(m.Salt)
 }
 func (m *LocateStep) DecodeFrom(d *Dec) {
-	d.IDInto(&m.GUID)
-	d.IDInto(&m.Key)
+	m.GUID = d.ID()
+	m.Key = d.ID()
 	m.Level = d.Int()
 	m.Hops = d.Int()
 	m.Salt = d.Int()
@@ -305,7 +305,7 @@ type VerifyReq struct {
 func (*VerifyReq) WireType() Type    { return TVerifyReq }
 func (m *VerifyReq) EncodeTo(e *Enc) { e.ID(m.GUID) }
 func (m *VerifyReq) DecodeFrom(d *Dec) {
-	d.IDInto(&m.GUID)
+	m.GUID = d.ID()
 }
 
 // VerifyResp answers a VerifyReq.
@@ -337,10 +337,10 @@ func (m *DeleteBack) EncodeTo(e *Enc) {
 	e.ID(m.StopAt)
 }
 func (m *DeleteBack) DecodeFrom(d *Dec) {
-	d.IDInto(&m.GUID)
-	d.IDInto(&m.Key)
-	d.IDInto(&m.Server)
-	d.IDInto(&m.StopAt)
+	m.GUID = d.ID()
+	m.Key = d.ID()
+	m.Server = d.ID()
+	m.StopAt = d.ID()
 }
 
 // BackAdd registers the sender as a level-Level backpointer holder at the
@@ -373,7 +373,7 @@ func (m *BackRemove) EncodeTo(e *Enc) {
 }
 func (m *BackRemove) DecodeFrom(d *Dec) {
 	m.Level = d.Int()
-	d.IDInto(&m.ID)
+	m.ID = d.ID()
 }
 
 // McastStep delivers an acknowledged-multicast visit (Section 4.1): P is the
@@ -444,7 +444,7 @@ func (m *JoinSnapshotReq) EncodeTo(e *Enc) {
 	e.Int(m.PinLevel)
 }
 func (m *JoinSnapshotReq) DecodeFrom(d *Dec) {
-	d.IDInto(&m.NewID)
+	m.NewID = d.ID()
 	m.NewAddr = d.Addr()
 	m.PinLevel = d.Int()
 }
@@ -500,7 +500,7 @@ func (m *CaravanStep) EncodeTo(e *Enc) {
 	}
 }
 func (m *CaravanStep) DecodeFrom(d *Dec) {
-	d.IDInto(&m.Server)
+	m.Server = d.ID()
 	m.ServerAddr = d.Addr()
 	n := d.Uvarint()
 	if d.err == nil && n > uint64(d.Len()) {
@@ -527,7 +527,7 @@ func (m *LeaveNotify) EncodeTo(e *Enc) {
 	e.Entries(m.Replacements)
 }
 func (m *LeaveNotify) DecodeFrom(d *Dec) {
-	d.IDInto(&m.Leaver)
+	m.Leaver = d.ID()
 	m.Level = d.Int()
 	m.Replacements = d.Entries(m.Replacements)
 }
@@ -541,7 +541,7 @@ type NodeDeleted struct {
 func (*NodeDeleted) WireType() Type    { return TNodeDeleted }
 func (m *NodeDeleted) EncodeTo(e *Enc) { e.ID(m.ID) }
 func (m *NodeDeleted) DecodeFrom(d *Dec) {
-	d.IDInto(&m.ID)
+	m.ID = d.ID()
 }
 
 // DropLinks tells a forward neighbor to remove every link to ID (§5.1
@@ -553,7 +553,7 @@ type DropLinks struct {
 func (*DropLinks) WireType() Type    { return TDropLinks }
 func (m *DropLinks) EncodeTo(e *Enc) { e.ID(m.ID) }
 func (m *DropLinks) DecodeFrom(d *Dec) {
-	d.IDInto(&m.ID)
+	m.ID = d.ID()
 }
 
 // LocalStep is one hop of a §6.3 locality-constrained walk: route toward Key
@@ -571,7 +571,7 @@ func (m *LocalStep) EncodeTo(e *Enc) {
 	e.Int(m.Region)
 }
 func (m *LocalStep) DecodeFrom(d *Dec) {
-	d.IDInto(&m.Key)
+	m.Key = d.ID()
 	m.Level = d.Int()
 	m.Region = d.Int()
 }
@@ -600,12 +600,12 @@ func (m *PtrForward) EncodeTo(e *Enc) {
 	e.Addr(m.PrevAddr)
 }
 func (m *PtrForward) DecodeFrom(d *Dec) {
-	d.IDInto(&m.GUID)
-	d.IDInto(&m.Key)
-	d.IDInto(&m.Server)
+	m.GUID = d.ID()
+	m.Key = d.ID()
+	m.Server = d.ID()
 	m.ServerAddr = d.Addr()
 	m.Level = d.Int()
-	d.IDInto(&m.PrevID)
+	m.PrevID = d.ID()
 	m.PrevAddr = d.Addr()
 }
 
@@ -631,7 +631,7 @@ func (m *PublishReq) EncodeTo(e *Enc) {
 	}
 }
 func (m *PublishReq) DecodeFrom(d *Dec) {
-	d.IDInto(&m.GUID)
+	m.GUID = d.ID()
 	m.Adopt = d.Bool()
 	n := d.Uvarint()
 	if d.err == nil && n > uint64(d.Len()) {

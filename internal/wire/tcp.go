@@ -97,7 +97,7 @@ func (s *Server) serveConn(conn io.ReadWriteCloser) {
 		rc    Receiver
 		cost  netsim.Cost
 		frame []byte
-		id    [maxDigits]ids.Digit
+		id    [ids.MaxDigits]ids.Digit
 		hdr   [replyHeaderLen]byte
 	)
 	for {

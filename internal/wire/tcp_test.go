@@ -118,9 +118,13 @@ func TestServeConnDropsMalformed(t *testing.T) {
 	hdr := func(kind, idLen, respType byte) []byte {
 		return append(append([]byte{kind, 14 /* zigzag 7 */, idLen}, make([]byte, idLen)...), respType)
 	}
+	longID, longPrefix := overlongFrames()
 	cases := map[string][]byte{
 		"kind out of range":       append(hdr(2, 2, byte(TVerifyResp)), frame...),
 		"identifier of 65 digits": append(hdr(0, 65, byte(TVerifyResp)), frame...),
+		"identifier of 21 digits": append(hdr(0, ids.MaxDigits+1, byte(TVerifyResp)), frame...),
+		"21-digit id in payload":  append(hdr(0, 2, byte(TVerifyResp)), longID...),
+		"21-digit prefix in it":   append(hdr(1, 2, 0), longPrefix...),
 		"endless address varint":  append(bytes.Repeat([]byte{0x80}, 11), frame...),
 		"undefined response type": append(hdr(0, 2, 200), frame...),
 		"invoke without response": append(hdr(0, 2, 0), frame...),
@@ -169,6 +173,13 @@ func FuzzServeConn(f *testing.F) {
 	}
 	f.Add([]byte{0, 14, 65})
 	f.Add([]byte{1, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF})
+	// An addressee, and payloads, one digit longer than an identifier holds.
+	f.Add(append(append([]byte{0, 14, ids.MaxDigits + 1}, make([]byte, ids.MaxDigits+1)...), append([]byte{byte(TAck)}, AppendFrame(nil, &Ping{})...)...))
+	longID, longPrefix := overlongFrames()
+	for _, long := range [][]byte{longID, longPrefix} {
+		oneWay := envelope(5, id(4, 4), &Ping{}, nil)
+		f.Add(append(oneWay[:len(oneWay)-len(AppendFrame(nil, &Ping{}))], long...))
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		h := &stubHost{}
 		conn := serve(h, b)

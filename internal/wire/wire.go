@@ -37,22 +37,19 @@ import (
 type Type byte
 
 // Msg is one wire message. EncodeTo must write exactly what DecodeFrom reads;
-// DecodeFrom overwrites every field (reusing slice capacity where it can, and
-// keeping an identifier that already has the decoded digits), so a recycled
-// struct never leaks state between messages. Neither may retain its Enc or
-// Dec past return.
+// DecodeFrom overwrites every field (reusing slice capacity where it can), so
+// a recycled struct never leaks state between messages. Neither may retain its
+// Enc or Dec past return.
 type Msg interface {
 	WireType() Type
 	EncodeTo(*Enc)
 	DecodeFrom(*Dec)
 }
 
-// maxDigits bounds ID/prefix digit counts on decode (ids.Spec caps Digits at
-// 64); maxFrame bounds a framed message read from an untrusted stream.
-const (
-	maxDigits = 64
-	maxFrame  = 1 << 26
-)
+// maxFrame bounds a framed message read from an untrusted stream. (An
+// identifier's digit count and digits are bounded by what an ids.ID holds,
+// ids.MaxDigits and ids.MaxBase.)
+const maxFrame = 1 << 26
 
 // Enc is an append-only encoder. The zero value is ready to use; Reset keeps
 // the buffer's capacity so steady-state encoding does not allocate.
@@ -97,18 +94,12 @@ func (e *Enc) String(s string) {
 
 // ID appends an identifier: digit count, then raw digit bytes.
 func (e *Enc) ID(id ids.ID) {
-	e.U8(byte(id.Len()))
-	for i := 0; i < id.Len(); i++ {
-		e.U8(id.Digit(i))
-	}
+	e.b = id.AppendDigits(append(e.b, byte(id.Len())))
 }
 
 // Prefix appends a prefix with the same shape as ID.
 func (e *Enc) Prefix(p ids.Prefix) {
-	e.U8(byte(p.Len()))
-	for i := 0; i < p.Len(); i++ {
-		e.U8(p.Digit(i))
-	}
+	e.b = p.AppendDigits(append(e.b, byte(p.Len())))
 }
 
 // Addr appends a network address as a zigzag varint (addresses are small
@@ -236,14 +227,15 @@ func (d *Dec) String() string {
 	return s
 }
 
-// digits reads a count-prefixed digit run shared by ID and Prefix.
+// digits reads a count-prefixed digit run shared by ID and Prefix, rejecting
+// one that no identifier can hold before anything is built from it.
 func (d *Dec) digits() []ids.Digit {
 	n := int(d.U8())
 	if d.err != nil {
 		return nil
 	}
-	if n > maxDigits {
-		d.fail("digit count %d exceeds %d", n, maxDigits)
+	if n > ids.MaxDigits {
+		d.fail("digit count %d exceeds %d", n, ids.MaxDigits)
 		return nil
 	}
 	if n > d.Len() {
@@ -253,42 +245,19 @@ func (d *Dec) digits() []ids.Digit {
 	out := d.b[d.off : d.off+n]
 	d.off += n
 	for i, dg := range out {
-		if dg >= maxDigits {
-			d.fail("digit %d at position %d exceeds max base %d", dg, i, maxDigits)
+		if dg >= ids.MaxBase {
+			d.fail("digit %d at position %d exceeds max base %d", dg, i, ids.MaxBase)
 			return nil
 		}
 	}
 	return out
 }
 
-// ID reads an identifier.
-func (d *Dec) ID() ids.ID {
-	var id ids.ID
-	d.IDInto(&id)
-	return id
-}
-
-// IDInto reads an identifier into *dst. When *dst already holds exactly the
-// decoded digits it is left alone: a recycled struct that receives the same
-// GUID hop after hop then costs no string allocation per message.
-func (d *Dec) IDInto(dst *ids.ID) {
-	dg := d.digits()
-	switch {
-	case d.err != nil:
-		*dst = ids.ID{}
-	case !dst.EqualDigits(dg):
-		*dst = ids.FromDigits(dg)
-	}
-}
+// ID reads an identifier (the zero ID once an error is latched).
+func (d *Dec) ID() ids.ID { return ids.FromDigits(d.digits()) }
 
 // Prefix reads a prefix.
-func (d *Dec) Prefix() ids.Prefix {
-	dg := d.digits()
-	if d.err != nil {
-		return ids.Prefix{}
-	}
-	return ids.PrefixFromDigits(dg)
-}
+func (d *Dec) Prefix() ids.Prefix { return ids.PrefixFromDigits(d.digits()) }
 
 // Addr reads a network address.
 func (d *Dec) Addr() netsim.Addr { return netsim.Addr(d.Int()) }

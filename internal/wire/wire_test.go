@@ -50,6 +50,24 @@ func retiredFrames() [][]byte {
 	return out
 }
 
+// overlongFrames returns well-framed messages that carry a digit run one
+// longer than an identifier holds — as the GUID of a VerifyReq and as the
+// first prefix of a McastStep. No Enc can write them (no such ids.ID exists),
+// so they are assembled by hand; the decoder must refuse them before it
+// builds anything.
+func overlongFrames() (overlongID, overlongPrefix []byte) {
+	run := append([]byte{ids.MaxDigits + 1}, make([]byte, ids.MaxDigits+1)...)
+	frame := func(t Type, payload []byte) []byte {
+		return append([]byte{byte(1 + len(payload)), 0, 0, 0, byte(t)}, payload...)
+	}
+	// The rest of a McastStep after P: an empty Root, an entry, a hole level.
+	var rest Enc
+	rest.Prefix(ids.EmptyPrefix)
+	rest.Entry(route.Entry{ID: id(1, 2), Addr: 3, Distance: 1.5})
+	rest.Int(1)
+	return frame(TVerifyReq, run), frame(TMcastStep, append(append([]byte{}, run...), rest.Bytes()...))
+}
+
 // fixtures returns one representatively populated message per wire type, in
 // Types() order. Every field is non-zero somewhere so the round-trip and
 // golden tests exercise the full encoding of each struct.
@@ -165,14 +183,16 @@ func TestDecodeFrameIntoTypeMismatch(t *testing.T) {
 
 // TestRecycledRoundTripAllocatesNothing pins the codec's steady state: framing
 // a fixed-size message into a kept buffer and decoding it into a recycled
-// struct that already holds the same identifiers is free of heap traffic —
-// the Enc and Dec do not escape, and equal digits keep the ID they have. A
-// different identifier must still replace the kept one.
+// struct is free of heap traffic — the Enc and Dec do not escape, and an
+// identifier is a value, so one the struct has never held costs what a
+// repeated one does.
 func TestRecycledRoundTripAllocatesNothing(t *testing.T) {
 	msg := &LocateStep{GUID: id(8, 9, 1), Key: id(10, 11, 2), Level: 4, Hops: 12, Salt: 3}
 	var recycled LocateStep
 	var buf []byte
 	roundTrip := func() {
+		msg.Hops++
+		msg.Key = id(10, 11, ids.Digit(msg.Hops%16))
 		buf = AppendFrame(buf[:0], msg)
 		if _, err := DecodeFrameInto(buf, &recycled); err != nil {
 			t.Fatal(err)
@@ -222,6 +242,20 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	bad[len(bad)-1] = 200 // the single digit byte
 	if _, _, err := DecodeFrame(bad); err == nil {
 		t.Error("DecodeFrame accepted an out-of-range digit")
+	}
+
+	// A digit run one longer than an identifier holds must be rejected — and
+	// one of exactly the capacity accepted: the bound is the identifier's.
+	longID, longPrefix := overlongFrames()
+	if _, _, err := DecodeFrame(longID); err == nil {
+		t.Errorf("DecodeFrame accepted a %d-digit identifier", ids.MaxDigits+1)
+	}
+	if _, _, err := DecodeFrame(longPrefix); err == nil {
+		t.Errorf("DecodeFrame accepted a %d-digit prefix", ids.MaxDigits+1)
+	}
+	full := AppendFrame(nil, &VerifyReq{GUID: ids.FromDigits(make([]ids.Digit, ids.MaxDigits))})
+	if m, _, err := DecodeFrame(full); err != nil || m.(*VerifyReq).GUID.Len() != ids.MaxDigits {
+		t.Errorf("DecodeFrame refused a %d-digit identifier: %v", ids.MaxDigits, err)
 	}
 
 	// A hostile list count larger than the remaining payload must fail
@@ -322,6 +356,9 @@ func FuzzDecodeInto(f *testing.F) {
 	for _, old := range retiredFrames() {
 		f.Add(old)
 	}
+	longID, longPrefix := overlongFrames()
+	f.Add(longID)
+	f.Add(longPrefix)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		m, _, err := DecodeFrame(b)
 		if err != nil {
@@ -340,4 +377,39 @@ func FuzzDecodeInto(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestDecodeAllocatesNothing: an identifier is a value, so decoding any
+// catalogue message into a recycled struct of its type reaches the heap for
+// nothing — fixed-size messages and, once the struct's slices have grown, the
+// list payloads that carry identifiers by the dozen (a table band's entries,
+// a caravan's records). The one exception is ClusterInstall, whose address
+// book is host-name strings.
+func TestDecodeAllocatesNothing(t *testing.T) {
+	band, caravan := &TableBandResp{}, &CaravanStep{Server: id(6, 6, 6), ServerAddr: 17}
+	for i := 0; i < 24; i++ {
+		d := ids.Digit(i)
+		band.Entries = append(band.Entries, route.Entry{ID: id(d, 1, 2, 3), Addr: netsim.Addr(i), Distance: 1.5})
+		caravan.Recs = append(caravan.Recs, PubRec{GUID: id(d, 2), Key: id(d, 3), Level: 1, PrevID: id(d, 4), PrevAddr: 23, Hops: 2})
+	}
+	for _, m := range append(fixtures(), band, caravan) {
+		if _, ok := m.(*ClusterInstall); ok {
+			continue
+		}
+		frame := AppendFrame(nil, m)
+		into := New(m.WireType())
+		var dec Dec // the test's own, as a transport keeps one: no pool for the race detector to empty
+		decode := func() {
+			if _, err := dec.Frame(frame, into); err != nil {
+				t.Fatalf("%T: %v", m, err)
+			}
+		}
+		decode() // grows the recycled struct's slices
+		if n := testing.AllocsPerRun(100, decode); n != 0 {
+			t.Errorf("decoding %T allocates %v objects, want 0", m, n)
+		}
+		if re := AppendFrame(nil, into); !bytes.Equal(re, frame) {
+			t.Errorf("%T decoded into a recycled struct re-encodes differently", m)
+		}
+	}
 }

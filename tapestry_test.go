@@ -3,6 +3,7 @@ package tapestry
 import (
 	"errors"
 	"os/exec"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -216,10 +217,36 @@ func TestFacadeLinkFaults(t *testing.T) {
 	}
 }
 
-// TestFacadeLocateAllocationBudget pins what a locate costs above core: the
-// GUID hashed from the name and the Cost the overlay hands back. Core's walk
-// allocates nothing, the server's ID is not rendered again (the node keeps its
-// label), and the digits of the hash are drawn on the stack.
+// TestNewRejectsSpecPastCapacity: an identifier holds twenty digits; a
+// configuration asking for more is an error from New on the protocols that
+// draw identifiers from the Spec, not a panic in the first constructor that
+// would have to build one.
+func TestNewRejectsSpecPastCapacity(t *testing.T) {
+	for _, p := range []Protocol{Tapestry, Pastry} {
+		cfg := Defaults()
+		cfg.Digits = 21
+		if nw, err := NewProtocol(RingSpace(64), p, cfg); err == nil {
+			nw.Close()
+			t.Errorf("%v: Config.Digits = 21 accepted", p)
+		}
+		cfg.Digits = 20
+		nw, err := NewProtocol(RingSpace(64), p, cfg)
+		if err != nil {
+			t.Errorf("%v: Config.Digits = 20 refused: %v", p, err)
+			continue
+		}
+		if _, err := nw.Grow(4); err != nil {
+			t.Errorf("%v: growing a 20-digit network: %v", p, err)
+		}
+		nw.Close()
+	}
+}
+
+// TestFacadeLocateAllocationBudget pins what an operation costs above core:
+// the Cost the overlay hands back, and nothing else. Core's walk allocates
+// nothing, the server's ID is not rendered again (the node keeps its label),
+// the GUID hashed from the name is a value, and — the loopback rows — so is
+// every identifier the codec decodes on the way.
 func TestFacadeLocateAllocationBudget(t *testing.T) {
 	var pool sync.Pool
 	for i, item := 0, new(int); i < 64; i++ {
@@ -228,20 +255,64 @@ func TestFacadeLocateAllocationBudget(t *testing.T) {
 			t.Skip("sync.Pool is dropping items (the race detector does, on purpose): allocation counts would measure that")
 		}
 	}
-	_, nodes := newNet(t, 64)
-	if _, err := nodes[0].Publish("budget"); err != nil {
-		t.Fatal(err)
-	}
-	i := 0
-	locate := func() {
-		if res, _ := nodes[i%len(nodes)].Locate("budget"); !res.Found || res.ServerID != nodes[0].ID() {
-			t.Fatalf("locate from %s: %+v", nodes[i%len(nodes)].ID(), res)
-		}
-		i++
-	}
-	locate() // warms the frame pool
-	if n := testing.AllocsPerRun(500, locate); n > 2 {
-		t.Errorf("%v allocs per facade Locate, want at most 2", n)
+	for _, tr := range []Transport{TransportDirect, TransportLoopback} {
+		t.Run(tr.String(), func(t *testing.T) {
+			cfg := Defaults()
+			cfg.Transport = tr
+			nw, err := New(RingSpace(256), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nw.Close()
+			nodes, err := nw.Grow(64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := nodes[0].Publish("budget"); err != nil {
+				t.Fatal(err)
+			}
+			i := 0
+			locate := func() {
+				if res, _ := nodes[i%len(nodes)].Locate("budget"); !res.Found || res.ServerID != nodes[0].ID() {
+					t.Fatalf("locate from %s: %+v", nodes[i%len(nodes)].ID(), res)
+				}
+				i++
+			}
+			locate() // warms the frame pool
+			if n := testing.AllocsPerRun(500, locate); n > 1 {
+				t.Errorf("%v allocs per facade Locate, want at most 1", n)
+			}
+
+			// Publish and unpublish alternate on one name, each half counted
+			// on its own (AllocsPerRun could only average the pair).
+			const rounds = 300
+			var counts [2]uint64
+			ops := [2]func(){
+				func() {
+					if _, err := nodes[1].Publish("written"); err != nil {
+						t.Fatal(err)
+					}
+				},
+				func() { nodes[1].Unpublish("written") },
+			}
+			ops[0]() // warms the path nodes' free lists
+			ops[1]()
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			for r := 0; r < rounds; r++ {
+				for k, op := range ops {
+					var before, after runtime.MemStats
+					runtime.ReadMemStats(&before)
+					op()
+					runtime.ReadMemStats(&after)
+					counts[k] += after.Mallocs - before.Mallocs
+				}
+			}
+			for k, name := range [2]string{"Publish", "Unpublish"} {
+				if n := counts[k] / rounds; n > 1 {
+					t.Errorf("%d allocs per facade %s, want at most 1", n, name)
+				}
+			}
+		})
 	}
 }
 
