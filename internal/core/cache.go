@@ -192,11 +192,18 @@ func (n *Node) CacheSize() int {
 	return n.cache.len()
 }
 
-// LocateCacheStats returns the mesh-wide cache hit/miss counters: one
+// LocateCacheStats returns the mesh-wide cache hit/miss counts: one
 // observation per Locate on a cache-enabled mesh (hit = the query was
-// answered from a cached mapping at some hop).
+// answered from a cached mapping at some hop). Each node counts the queries
+// it issued; this sums the members' counters and what departed members left
+// behind. Exact once traffic has quiesced, like the network's counters.
 func (m *Mesh) LocateCacheStats() (hits, misses int64) {
-	return m.cacheHits.Load(), m.cacheMisses.Load()
+	hits, misses = m.departedHits.Load(), m.departedMisses.Load()
+	for _, n := range m.Nodes() {
+		hits += n.cacheHits.Load()
+		misses += n.cacheMisses.Load()
+	}
+	return hits, misses
 }
 
 // CachedMappings returns the total number of cached location mappings across

@@ -69,7 +69,7 @@ func meshStateHash(m *Mesh) string {
 				fmt.Fprintf(h, "b %d %v@%d %.17g\n", l, e.ID, e.Addr, e.Distance)
 			}
 		}
-		for _, g := range sortedGUIDs(&n.objects) {
+		for _, g := range sortedGUIDs(nil, &n.objects) {
 			for _, r := range n.find(g).recs {
 				fmt.Fprintf(h, "o %v srv=%v@%d key=%v last=%v@%d lvl=%d ep=%d root=%v\n",
 					g, r.server, r.serverAddr, r.key, r.lastHop, r.lastAddr, r.level, r.epoch, r.root)

@@ -9,22 +9,22 @@ import (
 	"tapestry/internal/route"
 )
 
-// sortedGUIDs returns the keys of one of a node's GUID-keyed tables — the
-// pointer store, the published set — in ascending ID order. They are the
+// sortedGUIDs appends the keys of one of a node's GUID-keyed tables — the
+// pointer store, the published set — to dst in ascending ID order (dst is
+// expected empty: the whole result is sorted). They are the
 // per-node structures still kept in a hash table, probed and never walked in
 // order; pointer re-routing and republish order — which decide convergence
 // teardowns and message costs at every peer — must not be slot order.
 // (Routing state needs no such helper: route.Table stores its sets and
 // backpointers in canonical order.)
-func sortedGUIDs[V any](t *ids.Table[V]) []ids.ID {
-	guids := make([]ids.ID, 0, t.Len())
+func sortedGUIDs[V any](dst []ids.ID, t *ids.Table[V]) []ids.ID {
 	for i := 0; i < t.Slots(); i++ {
 		if g, _, ok := t.At(i); ok {
-			guids = append(guids, g)
+			dst = append(dst, g)
 		}
 	}
-	slices.SortFunc(guids, ids.ID.Compare)
-	return guids
+	slices.SortFunc(dst, ids.ID.Compare)
+	return dst
 }
 
 // Leave removes the node gracefully (Section 5.1, Figure 12): a two-phase
@@ -69,7 +69,7 @@ func (n *Node) Leave(cost *netsim.Cost) error {
 
 	// Phase 2a: withdraw replicas this node serves (they depart with it).
 	for _, g := range n.PublishedObjects() {
-		n.Unpublish(g, cost)
+		n.unpublish(f, g, cost)
 	}
 
 	// Phase 2b: objects rooted here move to their new surrogate roots,

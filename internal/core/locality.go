@@ -37,17 +37,15 @@ const wideArea = -1
 // confined to the stub ("treats the local network as its entire domain"). On
 // metrics without region structure it degrades to a plain Publish.
 func (n *Node) PublishLocal(guid ids.ID, cost *netsim.Cost) error {
-	if err := n.Publish(guid, cost); err != nil {
-		return err
+	f := n.mesh.beginOp()
+	err := n.publish(f, guid, &f.cost)
+	if region := n.mesh.regionOf(n.addr); err == nil && region >= 0 {
+		for i := 0; i < n.mesh.cfg.RootSetSize; i++ {
+			_ = n.publishPath(f, guid, n.mesh.cfg.Spec.Salt(guid, i), region, &f.cost)
+		}
 	}
-	region := n.mesh.regionOf(n.addr)
-	if region < 0 {
-		return nil
-	}
-	for i := 0; i < n.mesh.cfg.RootSetSize; i++ {
-		_ = n.publishPath(guid, n.mesh.cfg.Spec.Salt(guid, i), region, cost)
-	}
-	return nil
+	n.mesh.endOp(f, cost)
+	return err
 }
 
 // LocateLocal performs the two-phase query of Section 6.3: first a
@@ -56,10 +54,15 @@ func (n *Node) PublishLocal(guid ids.ID, cost *netsim.Cost) error {
 // ordinary wide-area locate. The second return value reports whether the
 // query was satisfied without leaving the stub.
 func (n *Node) LocateLocal(guid ids.ID, cost *netsim.Cost) (LocateResult, bool) {
+	f := n.mesh.beginOp()
+	var res LocateResult
 	if region := n.mesh.regionOf(n.addr); region >= 0 {
-		if res := n.locatePath(guid, 0, region, cost); res.Found {
-			return res, true
-		}
+		res = n.locatePath(f, guid, 0, region, &f.cost)
 	}
-	return n.Locate(guid, cost), false
+	local := res.Found
+	if !local {
+		res = n.locate(f, guid, &f.cost)
+	}
+	n.mesh.endOp(f, cost)
+	return res, local
 }

@@ -82,6 +82,7 @@ type sweepScratch struct {
 // chained into next-hop groups through link (record index -> next record of
 // the same group), so grouping needs no map and no per-group slice.
 type caravanScratch struct {
+	guids     []ids.ID // the server's published objects in ID order (RepublishAll)
 	recs      []wire.PubRec
 	queue     []caravanBatch
 	groups    []caravanGroup
@@ -150,21 +151,21 @@ func (sc *caravanScratch) decide(cur *Node, b caravanBatch, head int) {
 	cur.mu.Unlock()
 }
 
-// republishBatched re-lays the publish paths of the given served objects,
-// visiting nodes exactly as publishPath would (deposit at every hop,
+// republishBatched re-lays the publish paths of the served objects listed in
+// cf.batch.guids — cf is the caller's bundle, the caravan's scratch and
+// message — visiting nodes exactly as publishPath would (deposit at every hop,
 // convergence teardown, root flag at the terminal) but carrying all records
 // together and spending ONE message per distinct next hop per node instead
 // of one per record. Records that terminate on a mid-insertion node fall
 // back to the single-path walk, whose driver implements the Figure 10 bounce.
-func (n *Node) republishBatched(guids []ids.ID, cost *netsim.Cost) {
+func (n *Node) republishBatched(cf *msgFrames, cost *netsim.Cost) {
 	spec := n.mesh.cfg.Spec
 	now := n.mesh.net.Epoch()
 	maxHops := n.table.Levels()*n.table.Base() + 8 // same loop guard as runWalk
-	cf := n.mesh.getFrames()
 	cf.caravan.Server, cf.caravan.ServerAddr = n.id, n.addr
 	sc := &cf.batch
 	sc.recs, sc.queue = sc.recs[:0], sc.queue[:0]
-	for _, g := range guids {
+	for _, g := range sc.guids {
 		for i := 0; i < n.mesh.cfg.RootSetSize; i++ {
 			sc.recs = append(sc.recs, wire.PubRec{GUID: g, Key: spec.Salt(g, i), PrevAddr: n.addr, Salt: i})
 		}
@@ -258,7 +259,6 @@ func (n *Node) republishBatched(guids []ids.ID, cost *netsim.Cost) {
 		handleTerminalRecords(n, cur, sc.recs[b.lo:b.hi], sc.terminals, cost)
 	}
 	cf.caravan.Recs = nil
-	n.mesh.putFrames(cf)
 }
 
 // handleTerminalRecords finishes records whose walk ends at cur: flag them
@@ -283,8 +283,11 @@ func handleTerminalRecords(server, cur *Node, recs []wire.PubRec, idxs []int, co
 	}
 	cur.mu.Unlock()
 	if bounce {
+		// A bundle of the walks' own: recs is a window of the caravan's.
+		f := server.mesh.getFrames()
 		for _, i := range idxs {
-			_ = server.publishPath(recs[i].GUID, recs[i].Key, wideArea, cost)
+			_ = server.publishPath(f, recs[i].GUID, recs[i].Key, wideArea, cost)
 		}
+		server.mesh.putFrames(f)
 	}
 }

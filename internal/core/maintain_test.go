@@ -18,7 +18,7 @@ func sortedPointerState(m *Mesh) string {
 	var lines []string
 	for _, n := range m.Nodes() {
 		n.mu.Lock()
-		for _, g := range sortedGUIDs(&n.objects) {
+		for _, g := range sortedGUIDs(nil, &n.objects) {
 			for _, r := range n.find(g).recs {
 				lines = append(lines, fmt.Sprintf(
 					"%v %v srv=%v key=%v lvl=%d last=%v root=%v ep=%d",
@@ -82,7 +82,7 @@ func TestRepublishAllBatchedMatchesUnbatched(t *testing.T) {
 	var costBatched, costLegacy netsim.Cost
 	sBatched.RepublishAll(&costBatched)
 	for _, g := range sLegacy.PublishedObjects() {
-		if err := sLegacy.republishObject(g, &costLegacy); err != nil {
+		if err := sLegacy.republishObject(sLegacy.mesh.getFrames(), g, &costLegacy); err != nil {
 			t.Fatalf("republishObject %v: %v", g, err)
 		}
 	}
@@ -120,7 +120,7 @@ func TestRepublishBatchedScalesWithNextHops(t *testing.T) {
 	var costBatched, costLegacy netsim.Cost
 	sBatched.RepublishAll(&costBatched)
 	for _, g := range guids {
-		if err := sLegacy.republishObject(g, &costLegacy); err != nil {
+		if err := sLegacy.republishObject(sLegacy.mesh.getFrames(), g, &costLegacy); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -183,7 +183,7 @@ func TestRepublishBatchedDeadHop(t *testing.T) {
 	var cost netsim.Cost
 	sBatched.RepublishAll(&cost)
 	for _, g := range sLegacy.PublishedObjects() {
-		_ = sLegacy.republishObject(g, &cost) // dead hops may surface as errors
+		_ = sLegacy.republishObject(sLegacy.mesh.getFrames(), g, &cost) // dead hops may surface as errors
 	}
 
 	if p1, p2 := sortedPointerState(mBatched), sortedPointerState(mLegacy); p1 != p2 {

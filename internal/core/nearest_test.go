@@ -272,7 +272,7 @@ func meshFingerprint(m *Mesh) string {
 				fmt.Fprintf(&b, "  b %d %v@%d\n", l, e.ID, e.Addr)
 			}
 		}
-		for _, g := range sortedGUIDs(&n.objects) {
+		for _, g := range sortedGUIDs(nil, &n.objects) {
 			for _, r := range n.find(g).recs {
 				fmt.Fprintf(&b, "  o %s srv=%v lvl=%d root=%v\n", g, r.server, r.level, r.root)
 			}

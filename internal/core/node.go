@@ -208,6 +208,12 @@ type Node struct {
 	rootSalt  uint64
 	locateSeq atomic.Uint64
 
+	// Serving-layer counters: one observation per Locate this node issued on
+	// a cache-enabled mesh. Per node, so concurrent queries from different
+	// clients share no counter line; Mesh.LocateCacheStats sums them.
+	cacheHits   atomic.Int64
+	cacheMisses atomic.Int64
+
 	// Insertion-window state (Section 4.3): while inserting, queries for
 	// unknown objects are bounced to the pre-insertion surrogate.
 	psurrogate route.Entry
@@ -287,10 +293,11 @@ type Mesh struct {
 		valid bool
 	}
 
-	// Serving-layer counters: one observation per Locate on a cache-enabled
-	// mesh. Atomics so the query hot path never takes a mesh-wide lock.
-	cacheHits   atomic.Int64
-	cacheMisses atomic.Int64
+	// departedHits and departedMisses keep the serving-layer counters of
+	// nodes that left the registry (unregister folds a node's in), so
+	// LocateCacheStats stays cumulative under churn. No query touches them.
+	departedHits   atomic.Int64
+	departedMisses atomic.Int64
 
 	// nnScratchPool recycles the §4.2 search engine's candidate arenas
 	// (nearest.go) across repairs, joins and refreshes mesh-wide.
@@ -465,6 +472,8 @@ func (m *Mesh) unregister(n *Node) {
 	sh.mu.Unlock()
 	if m.byAddr[n.addr].CompareAndSwap(n, nil) {
 		m.size.Add(-1)
+		m.departedHits.Add(n.cacheHits.Load())
+		m.departedMisses.Add(n.cacheMisses.Load())
 	}
 	m.updateOrdered(n, false)
 }

@@ -172,21 +172,30 @@ func (n *Node) purgePointer(guid, server, key ids.ID) {
 // Figure 2): for each of the |R_ψ| salted roots, a publish message routes
 // from n toward the root, depositing an object pointer at every hop.
 func (n *Node) Publish(guid ids.ID, cost *netsim.Cost) error {
+	f := n.mesh.beginOp()
+	err := n.publish(f, guid, &f.cost)
+	n.mesh.endOp(f, cost)
+	return err
+}
+
+// publish is Publish inside an operation that already holds the bundle f,
+// charged to cost.
+func (n *Node) publish(f *msgFrames, guid ids.ID, cost *netsim.Cost) error {
 	n.mu.Lock()
 	n.published.Put(guid, struct{}{})
 	n.mu.Unlock()
-	return n.republishObject(guid, cost)
+	return n.republishObject(f, guid, cost)
 }
 
 // republishObject re-walks all publish paths for one object this node
-// serves; used by Publish, the periodic soft-state refresh, and the
-// leave/repair paths.
-func (n *Node) republishObject(guid ids.ID, cost *netsim.Cost) error {
+// serves, one after the other in the bundle f; used by Publish and by the
+// peer side of replica placement and read-repair.
+func (n *Node) republishObject(f *msgFrames, guid ids.ID, cost *netsim.Cost) error {
 	spec := n.mesh.cfg.Spec
 	var firstErr error
 	for i := 0; i < n.mesh.cfg.RootSetSize; i++ {
 		key := spec.Salt(guid, i)
-		if err := n.publishPath(guid, key, wideArea, cost); err != nil && firstErr == nil {
+		if err := n.publishPath(f, guid, key, wideArea, cost); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -198,10 +207,9 @@ func (n *Node) republishObject(guid ids.ID, cost *netsim.Cost) error {
 // Convergence with a stale path triggers backward deletion of the outdated
 // trail (Figure 9's DeletePointersBackward), keyed off a changed lastHop at
 // an already-present record. A region >= 0 lays the Section 6.3 local branch
-// instead: the same walk confined to the server's stub.
-func (n *Node) publishPath(guid, key ids.ID, region int, cost *netsim.Cost) error {
-	f := n.mesh.getFrames()
-	defer n.mesh.putFrames(f)
+// instead: the same walk confined to the server's stub. The walk runs in f,
+// the caller's bundle.
+func (n *Node) publishPath(f *msgFrames, guid, key ids.ID, region int, cost *netsim.Cost) error {
 	f.route.Key, f.route.Op = key, wire.RouteOpPublish
 	w := f.newWalk(stepDeposit, &f.route, key, cost)
 	f.confine(n.mesh, region)
@@ -276,11 +284,18 @@ func entryAt(id ids.ID, addr netsim.Addr) route.Entry {
 // invalidates any cached location hints naming this server at the visited
 // nodes, so the serving layer forgets the replica along with the pointers.
 func (n *Node) Unpublish(guid ids.ID, cost *netsim.Cost) {
+	f := n.mesh.beginOp()
+	n.unpublish(f, guid, &f.cost)
+	n.mesh.endOp(f, cost)
+}
+
+// unpublish is Unpublish inside an operation that already holds the bundle f
+// (Leave withdraws every replica it serves in its own), charged to cost.
+func (n *Node) unpublish(f *msgFrames, guid ids.ID, cost *netsim.Cost) {
 	n.mu.Lock()
 	n.published.Delete(guid)
 	n.mu.Unlock()
 	spec := n.mesh.cfg.Spec
-	f := n.mesh.getFrames()
 	for i := 0; i < n.mesh.cfg.RootSetSize; i++ {
 		key := spec.Salt(guid, i)
 		f.route.Key, f.route.Op = key, wire.RouteOpUnpublish
@@ -288,7 +303,6 @@ func (n *Node) Unpublish(guid ids.ID, cost *netsim.Cost) {
 		w.guid, w.server = guid, n.id
 		_, _ = n.runWalk(f)
 	}
-	n.mesh.putFrames(f)
 }
 
 // LocateResult reports a successful (or failed) object location.
@@ -319,6 +333,16 @@ type LocateResult struct {
 // asked to republish toward exactly the missed roots, so the next query that
 // draws them hits again.
 func (n *Node) Locate(guid ids.ID, cost *netsim.Cost) LocateResult {
+	f := n.mesh.beginOp()
+	res := n.locate(f, guid, &f.cost)
+	n.mesh.endOp(f, cost)
+	return res
+}
+
+// locate is Locate inside an operation that already holds the bundle f,
+// charged to cost: every root's walk, and the read-repair request after them,
+// take their turn in the one bundle.
+func (n *Node) locate(f *msgFrames, guid ids.ID, cost *netsim.Cost) LocateResult {
 	k := n.mesh.cfg.RootSetSize
 	start := 0
 	if k > 1 {
@@ -329,7 +353,7 @@ func (n *Node) Locate(guid ids.ID, cost *netsim.Cost) LocateResult {
 	missed := missedBuf[:0]
 	for t := 0; t < k; t++ {
 		salt := (start + t) % k
-		res := n.LocateVia(guid, salt, cost)
+		res := n.locatePath(f, guid, salt, wideArea, cost)
 		if res.Found {
 			out = res
 			break
@@ -340,13 +364,13 @@ func (n *Node) Locate(guid ids.ID, cost *netsim.Cost) LocateResult {
 		}
 	}
 	if out.Found && len(missed) > 0 {
-		n.readRepair(guid, out, missed, cost)
+		n.readRepair(f, guid, out, missed, cost)
 	}
 	if n.cache != nil {
 		if out.Found && out.FromCache {
-			n.mesh.cacheHits.Add(1)
+			n.cacheHits.Add(1)
 		} else {
-			n.mesh.cacheMisses.Add(1)
+			n.cacheMisses.Add(1)
 		}
 	}
 	return out
@@ -355,7 +379,10 @@ func (n *Node) Locate(guid ids.ID, cost *netsim.Cost) LocateResult {
 // LocateVia runs a single-root query with an explicit salt; exposed for
 // experiments that need deterministic root choice.
 func (n *Node) LocateVia(guid ids.ID, salt int, cost *netsim.Cost) LocateResult {
-	return n.locatePath(guid, salt, wideArea, cost)
+	f := n.mesh.beginOp()
+	res := n.locatePath(f, guid, salt, wideArea, &f.cost)
+	n.mesh.endOp(f, cost)
+	return res
 }
 
 // locatePath runs one query: a peek walk toward the salted key that stops at
@@ -363,15 +390,14 @@ func (n *Node) LocateVia(guid ids.ID, salt int, cost *netsim.Cost) LocateResult 
 // hint) the replica itself vouches for. It reports the replica reached, a
 // clean miss at the root, or Exhausted when the walk did not end (the mesh is
 // inconsistent). A region >= 0 runs the Section 6.3 local phase instead: the
-// same walk confined to the client's stub.
+// same walk confined to the client's stub. The walk runs in f, the caller's
+// bundle.
 //
 // With the serving layer on, a successful answer is recorded at every
 // upstream hop of the query path — piggybacked on the response, charging no
 // messages. The last path element (the node that answered) is skipped: its
 // own pointer store or cache already answers.
-func (n *Node) locatePath(guid ids.ID, salt, region int, cost *netsim.Cost) LocateResult {
-	f := n.mesh.getFrames()
-	defer n.mesh.putFrames(f)
+func (n *Node) locatePath(f *msgFrames, guid ids.ID, salt, region int, cost *netsim.Cost) LocateResult {
 	key := n.mesh.cfg.Spec.Salt(guid, salt)
 	f.locate.GUID, f.locate.Key, f.locate.Salt = guid, key, salt
 	w := f.newWalk(stepPeek, &f.locate, key, cost)
@@ -529,7 +555,7 @@ func (n *Node) PublishedObjects() []ids.ID {
 	if n.published.Len() == 0 {
 		return nil // most nodes serve nothing; the republish epoch asks every one
 	}
-	return sortedGUIDs(&n.published)
+	return sortedGUIDs(make([]ids.ID, 0, n.published.Len()), &n.published)
 }
 
 // PointerCount returns the number of object pointers stored at this node
@@ -608,12 +634,20 @@ func (n *Node) expirePointers(now int64) {
 // one batched caravan — one message per distinct next hop per node
 // (maintain.go) — so an epoch's refresh traffic scales with the distinct
 // routes out of each node rather than objects×hops.
+//
+// The served GUIDs are sorted into the caravan's recycled scratch, not into
+// a slice of the epoch's own: every server of the mesh runs this every epoch.
 func (n *Node) RepublishAll(cost *netsim.Cost) {
-	guids := n.PublishedObjects()
-	if len(guids) == 0 {
-		return
+	n.mu.Lock()
+	if n.published.Len() == 0 {
+		n.mu.Unlock()
+		return // most nodes serve nothing; the republish epoch asks every one
 	}
-	n.republishBatched(guids, cost)
+	f := n.mesh.getFrames()
+	f.batch.guids = sortedGUIDs(f.batch.guids[:0], &n.published)
+	n.mu.Unlock()
+	n.republishBatched(f, cost)
+	n.mesh.putFrames(f)
 }
 
 // OptimizeObjectPtrs re-routes every pointer path segment recorded at this
@@ -636,7 +670,7 @@ func (n *Node) OptimizeObjectPtrs(cost *netsim.Cost) {
 func (n *Node) reroutePointers(cost *netsim.Cost, exclude ids.ID, restart, bounce bool, pick func(r *pointerRec) bool) {
 	n.mu.Lock()
 	var work []pointerRec
-	for _, g := range sortedGUIDs(&n.objects) {
+	for _, g := range sortedGUIDs(make([]ids.ID, 0, n.objects.Len()), &n.objects) {
 		recs := n.find(g).recs
 		for i := range recs {
 			if pick(&recs[i]) {

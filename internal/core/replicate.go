@@ -29,7 +29,16 @@ import (
 // Config.Replicas means the candidate pool ran dry (tiny or heavily churned
 // meshes). With Replicas <= 1 it is exactly Publish.
 func (n *Node) PublishReplicated(guid ids.ID, cost *netsim.Cost) (int, error) {
-	if err := n.Publish(guid, cost); err != nil {
+	f := n.mesh.beginOp()
+	placed, err := n.publishReplicated(f, guid, &f.cost)
+	n.mesh.endOp(f, cost)
+	return placed, err
+}
+
+// publishReplicated is PublishReplicated in the operation's bundle f, charged
+// to cost.
+func (n *Node) publishReplicated(f *msgFrames, guid ids.ID, cost *netsim.Cost) (int, error) {
+	if err := n.publish(f, guid, cost); err != nil {
 		return 0, err
 	}
 	placed := 1
@@ -37,10 +46,7 @@ func (n *Node) PublishReplicated(guid ids.ID, cost *netsim.Cost) (int, error) {
 	if want <= 0 {
 		return placed, nil
 	}
-	cands := n.replicaCandidates(cost)
-	f := n.mesh.getFrames()
-	defer n.mesh.putFrames(f)
-	for _, e := range cands {
+	for _, e := range n.replicaCandidates(cost) {
 		if placed > want {
 			break
 		}
@@ -95,10 +101,9 @@ func (n *Node) replicaCandidates(cost *netsim.Cost) []route.Entry {
 // exactly the missed roots, so the next query drawing one of them hits
 // without waiting for the server's maintenance epoch. Best effort — a stale
 // server (possible when the answer came from a cached mapping) drops the
-// repair, and the surviving roots keep answering in the meantime.
-func (n *Node) readRepair(guid ids.ID, res LocateResult, missed []int, cost *netsim.Cost) {
-	f := n.mesh.getFrames()
-	defer n.mesh.putFrames(f)
+// repair, and the surviving roots keep answering in the meantime. The request
+// is a frame of f, the locate's bundle, whose walks are over.
+func (n *Node) readRepair(f *msgFrames, guid ids.ID, res LocateResult, missed []int, cost *netsim.Cost) {
 	f.pub.GUID, f.pub.Adopt = guid, false
 	f.pub.Salts = append(f.pub.Salts[:0], missed...)
 	_, _ = n.mesh.invoke(n.addr, entryAt(res.Server, res.ServerAddr), &f.pub, msgAck, cost, false)
@@ -123,8 +128,11 @@ func (n *Node) handlePublishReq(q *wire.PublishReq, cost *netsim.Cost) {
 	if !serves {
 		return
 	}
+	// A bundle of the handler's own: q is a frame of the requester's.
+	f := n.mesh.getFrames()
+	defer n.mesh.putFrames(f)
 	if len(q.Salts) == 0 {
-		_ = n.republishObject(q.GUID, cost)
+		_ = n.republishObject(f, q.GUID, cost)
 		return
 	}
 	spec := n.mesh.cfg.Spec
@@ -132,6 +140,6 @@ func (n *Node) handlePublishReq(q *wire.PublishReq, cost *netsim.Cost) {
 		if s < 0 || s >= n.mesh.cfg.RootSetSize {
 			continue
 		}
-		_ = n.publishPath(q.GUID, spec.Salt(q.GUID, s), wideArea, cost)
+		_ = n.publishPath(f, q.GUID, spec.Salt(q.GUID, s), wideArea, cost)
 	}
 }

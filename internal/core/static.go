@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"runtime"
 	"slices"
@@ -85,58 +84,66 @@ func BuildStaticSampled(net *netsim.Network, cfg Config, parts []Participant, sa
 		}
 	}
 
-	type cand struct {
-		idx int32
-		d   float64
+	// less is the (distance, ID) order route.Table ranks a neighbor set in.
+	less := func(a, b staticCand) bool {
+		if a.d != b.d {
+			return a.d < b.d
+		}
+		return nodes[a.idx].id.Less(nodes[b.idx].id)
 	}
+	r := m.cfg.R
 	intents := make([][]backIntent, len(nodes))
 	parallelFor(len(nodes), workers, func(i int) {
 		owner := nodes[i]
 		label := owner.id.String()
 		prefix := make([]byte, 0, spec.Digits)
-		cands := make([]cand, 0, sample)
+		drawn := make([]int32, 0, sample)
+		// closest holds the slot's R closest candidates so far, in order. R is
+		// all table.Add can accept — nothing is pinned in a static build, and
+		// in its own-digit slot the owner's self entry already takes a place —
+		// so the rest of a bucket (at level 0, a base-th of the mesh) is
+		// compared against the R-th and dropped, never sorted.
+		closest := make([]staticCand, 0, r)
+		offer := func(bi int32) {
+			c := staticCand{bi, net.Distance(owner.addr, nodes[bi].addr)}
+			pos := len(closest)
+			for pos > 0 && less(c, closest[pos-1]) {
+				pos--
+			}
+			if pos == r {
+				return
+			}
+			if len(closest) < r {
+				closest = append(closest, c)
+			}
+			copy(closest[pos+1:], closest[pos:])
+			closest[pos] = c
+		}
 		for l := 0; l < spec.Digits; l++ {
 			for d := 0; d < spec.Base; d++ {
 				bucket := buckets[string(append(prefix, byte(d)))]
-				cands = cands[:0]
+				closest = closest[:0]
 				if len(bucket) <= sample {
 					for _, bi := range bucket {
 						if int(bi) != i {
-							cands = append(cands, cand{bi, net.Distance(owner.addr, nodes[bi].addr)})
+							offer(bi)
 						}
 					}
 				} else {
 					// Seeded draws with replacement, deduplicated; the stream
 					// is a function of (seed, owner, slot) only.
+					drawn = drawn[:0]
 					s := uint64(stats.StreamSeed(m.cfg.Seed, label, l*spec.Base+d))
-					for k := 0; k < 3*sample && len(cands) < sample; k++ {
+					for k := 0; k < 3*sample && len(drawn) < sample; k++ {
 						s = stats.SplitMix64(s)
 						bi := bucket[int(s%uint64(len(bucket)))]
-						if int(bi) == i {
-							continue
-						}
-						dup := false
-						for _, c := range cands {
-							if c.idx == bi {
-								dup = true
-								break
-							}
-						}
-						if !dup {
-							cands = append(cands, cand{bi, net.Distance(owner.addr, nodes[bi].addr)})
+						if int(bi) != i && !slices.Contains(drawn, bi) {
+							drawn = append(drawn, bi)
+							offer(bi)
 						}
 					}
 				}
-				if len(cands) == 0 {
-					continue
-				}
-				slices.SortFunc(cands, func(a, b cand) int {
-					if c := cmp.Compare(a.d, b.d); c != 0 {
-						return c
-					}
-					return nodes[a.idx].id.Compare(nodes[b.idx].id)
-				})
-				for _, c := range cands {
+				for _, c := range closest {
 					p := nodes[c.idx]
 					added, _ := owner.table.Add(l, route.Entry{ID: p.id, Addr: p.addr, Distance: c.d})
 					if added {
@@ -149,6 +156,13 @@ func BuildStaticSampled(net *netsim.Network, cfg Config, parts []Participant, sa
 	})
 	applyBackIntents(nodes, intents)
 	return m, nil
+}
+
+// staticCand is one candidate for a slot of the static build: an index into
+// the participant list and its distance from the slot's owner.
+type staticCand struct {
+	idx int32
+	d   float64
 }
 
 // backIntent is one deferred backpointer registration: during the parallel

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"tapestry/internal/ids"
 	"tapestry/internal/metric"
 	"tapestry/internal/netsim"
+	"tapestry/internal/route"
+	"tapestry/internal/stats"
 )
 
 func buildStaticMesh(t testing.TB, n int, cfg Config, seed int64) *Mesh {
@@ -194,6 +198,112 @@ func TestBuildStaticSampledInvariantAndProperty1(t *testing.T) {
 	for _, c := range nodes[:16] {
 		if res := c.Locate(guid, nil); !res.Found {
 			t.Fatalf("locate failed from %v on sampled mesh", c.id)
+		}
+	}
+}
+
+// buildStaticSortEverything is the static build as it was before it selected:
+// every bucket (or its seeded sample) is sorted whole in (distance, ID) order
+// and offered to table.Add entry by entry, which keeps R and rejects the
+// rest. Kept as the reference BuildStaticSampled's bounded selection is
+// pinned to; single-threaded, everything else as in static.go.
+func buildStaticSortEverything(net *netsim.Network, cfg Config, parts []Participant, sample int) (*Mesh, error) {
+	m, nodes, err := registerStatic(net, cfg, parts)
+	if err != nil {
+		return nil, err
+	}
+	spec := m.cfg.Spec
+	if sample < 2*m.cfg.R {
+		sample = 2 * m.cfg.R
+	}
+	buckets := make(map[string][]int32)
+	for i, n := range nodes {
+		key := make([]byte, 0, spec.Digits)
+		for l := 0; l < spec.Digits; l++ {
+			key = append(key, byte(n.id.Digit(l)))
+			buckets[string(key)] = append(buckets[string(key)], int32(i))
+		}
+	}
+	intents := make([][]backIntent, len(nodes))
+	for i, owner := range nodes {
+		var prefix []byte
+		for l := 0; l < spec.Digits; l++ {
+			for d := 0; d < spec.Base; d++ {
+				bucket := buckets[string(append(prefix, byte(d)))]
+				var cands []staticCand
+				if len(bucket) <= sample {
+					for _, bi := range bucket {
+						if int(bi) != i {
+							cands = append(cands, staticCand{bi, net.Distance(owner.addr, nodes[bi].addr)})
+						}
+					}
+				} else {
+					s := uint64(stats.StreamSeed(m.cfg.Seed, owner.id.String(), l*spec.Base+d))
+					for k := 0; k < 3*sample && len(cands) < sample; k++ {
+						s = stats.SplitMix64(s)
+						bi := bucket[int(s%uint64(len(bucket)))]
+						if int(bi) == i || slices.ContainsFunc(cands, func(c staticCand) bool { return c.idx == bi }) {
+							continue
+						}
+						cands = append(cands, staticCand{bi, net.Distance(owner.addr, nodes[bi].addr)})
+					}
+				}
+				slices.SortFunc(cands, func(a, b staticCand) int {
+					if c := cmp.Compare(a.d, b.d); c != 0 {
+						return c
+					}
+					return nodes[a.idx].id.Compare(nodes[b.idx].id)
+				})
+				for _, c := range cands {
+					p := nodes[c.idx]
+					if added, _ := owner.table.Add(l, route.Entry{ID: p.id, Addr: p.addr, Distance: c.d}); added {
+						intents[i] = append(intents[i], backIntent{peer: p, level: l, d: c.d})
+					}
+				}
+			}
+			prefix = append(prefix, byte(owner.id.Digit(l)))
+		}
+	}
+	applyBackIntents(nodes, intents)
+	return m, nil
+}
+
+// TestBuildStaticSelectsWhatSortingKept pins the selecting build to the
+// sort-everything reference, table for table — every neighbor set entry for
+// entry and every backpointer list, distances included — for the exact build
+// and for a sampled one (sample below the low levels' bucket sizes), at two
+// seeds. The ring metric puts two nodes at most distances, so the ID
+// tie-break decides many a set's last place.
+func TestBuildStaticSelectsWhatSortingKept(t *testing.T) {
+	for _, seed := range []int64{61, 62} {
+		for _, sample := range []int{160, 8} {
+			net, parts := staticParts(160, seed)
+			got, err := BuildStaticSampled(net, testConfig(), parts, sample, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refNet, refParts := staticParts(160, seed)
+			want, err := buildStaticSortEverything(refNet, testConfig(), refParts, sample)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refs := want.Nodes()
+			for i, n := range got.Nodes() {
+				ref := refs[i]
+				if !n.id.Equal(ref.id) || n.addr != ref.addr {
+					t.Fatalf("seed %d sample %d: node %d is %v@%d, reference %v@%d", seed, sample, i, n.id, n.addr, ref.id, ref.addr)
+				}
+				for l := 0; l < n.table.Levels(); l++ {
+					for d := 0; d < n.table.Base(); d++ {
+						if g, w := n.table.SetView(l, ids.Digit(d)), ref.table.SetView(l, ids.Digit(d)); !slices.Equal(g, w) {
+							t.Fatalf("seed %d sample %d: %v slot (%d,%d)\n got %v\nwant %v", seed, sample, n.id, l, d, g, w)
+						}
+					}
+					if g, w := n.table.Backs(l), ref.table.Backs(l); !slices.Equal(g, w) {
+						t.Fatalf("seed %d sample %d: %v backpointers at level %d\n got %v\nwant %v", seed, sample, n.id, l, g, w)
+					}
+				}
+			}
 		}
 	}
 }

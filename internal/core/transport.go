@@ -152,7 +152,24 @@ var (
 // completes. A bundle is never handed to a nested operation — anything that
 // starts its own walk takes its own bundle — so a frame's contents are stable
 // for the duration of one Invoke/OneWay call.
+//
+// The bundle also holds the operation's ledger (cost). An object operation's
+// entry point (Locate, LocateVia, LocateLocal, Publish, PublishLocal,
+// PublishReplicated, Unpublish) takes the bundle with beginOp, charges
+// everything below it to &f.cost, and folds that into the caller's *Cost once,
+// in endOp; the caller's pointer never flows inward. That is what lets a
+// caller keep its Cost on its stack: whoever allocates it, a ledger handed
+// down the walk escapes — walk.cost and nnSearch.cost store it in pooled
+// structs, and Transport.deliver is an interface call the compiler cannot see
+// through — so a ledger that must live on the heap anyway lives in the one
+// heap object the operation already recycles. It is made with a counter
+// stripe of its own (netsim.Cost.UseStripe) that Reset keeps: sync.Pool hands
+// a bundle back to the P that returned it, so an operation's messages are
+// counted on a line that stays in that core's cache. Operations that are
+// handed a ledger to charge (joins, leaves, the maintenance passes, a
+// dispatch handler) leave the bundle's alone.
 type msgFrames struct {
+	cost       netsim.Cost
 	walk       walk      // the bundle's key-directed walk (walk.go); its step message is one of the frames below
 	visitedBuf [8]ids.ID // backs the walk's loop memory until a walk outgrows it: a fresh bundle grows no slice hop by hop
 	route      wire.RouteStep
@@ -183,10 +200,26 @@ func (m *Mesh) getFrames() *msgFrames {
 	if f, ok := m.framePool.Get().(*msgFrames); ok {
 		return f
 	}
-	return &msgFrames{}
+	f := &msgFrames{}
+	f.cost.UseStripe()
+	return f
 }
 
 func (m *Mesh) putFrames(f *msgFrames) { m.framePool.Put(f) }
+
+// beginOp takes the bundle of one object operation, its ledger zeroed; endOp
+// folds what the operation charged into the caller's ledger (nil records
+// nothing) and returns the bundle.
+func (m *Mesh) beginOp() *msgFrames {
+	f := m.getFrames()
+	f.cost.Reset()
+	return f
+}
+
+func (m *Mesh) endOp(f *msgFrames, cost *netsim.Cost) {
+	cost.Merge(&f.cost)
+	m.putFrames(f)
+}
 
 // invoke sends a request/response pair to the entry's node: charged and
 // resolved here, delivered by the mesh transport. It returns the node for the

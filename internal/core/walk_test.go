@@ -130,8 +130,8 @@ var walkKinds = []walkKind{
 		ar.plant(key)
 		ar.a.OptimizeObjectPtrs(nil)
 	}},
-	{name: "stub-local publish", local: true, run: func(ar *arena, key ids.ID) { _ = ar.a.publishPath(key, key, 0, nil) }},
-	{name: "stub-local locate", local: true, run: func(ar *arena, key ids.ID) { ar.a.locatePath(key, 0, 0, nil) }},
+	{name: "stub-local publish", local: true, run: func(ar *arena, key ids.ID) { _ = ar.a.publishPath(ar.a.mesh.getFrames(), key, key, 0, nil) }},
+	{name: "stub-local locate", local: true, run: func(ar *arena, key ids.ID) { ar.a.locatePath(ar.a.mesh.getFrames(), key, 0, 0, nil) }},
 }
 
 // rootTransfer is the one walk that differs on purpose: it does not bounce.

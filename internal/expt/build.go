@@ -137,6 +137,6 @@ func (e overlayEnv) publish(i int, key string) {
 }
 
 // locate queries the key from node i, returning the result and its cost.
-func (e overlayEnv) locate(i int, key string) (overlay.Result, *netsim.Cost) {
+func (e overlayEnv) locate(i int, key string) (overlay.Result, netsim.Cost) {
 	return e.proto.Locate(e.nodes[i], key)
 }

@@ -225,45 +225,84 @@ func TestFaultRateValidation(t *testing.T) {
 	}()
 }
 
-// TestTotalMessagesExactUnderConcurrency pins the striped counter: with many
-// goroutines sending from many addresses at once, under a duplication rate
-// that makes some sends count twice, the summed stripes equal exactly the
-// sends made plus the duplicates injected, and every per-op ledger agrees.
+// TestTotalMessagesExactUnderConcurrency pins the striped counter and the
+// ledger's ownership rule together. Ten goroutines send from many addresses
+// at once on one Network: eight meter their sends on a ledger with a counter
+// stripe of its own (UseStripe), one on a zero-value ledger and one on no
+// ledger at all (both counted by sender address). No ledger is shared — that
+// is the rule, and what lets the ledger's fields be plain — so under -race
+// the only shared writes are the Network's atomics, and the summed stripes
+// equal exactly the sends made plus the duplicates injected, which is the sum
+// of the ledgers plus the nil sender's count.
+//
+// At duplication rate 1 every send counts exactly twice, so each term is
+// known on its own; at 0.3 some sends count twice and the duplicates only the
+// nil sender's messages can account for must fit its sends.
 func TestTotalMessagesExactUnderConcurrency(t *testing.T) {
-	const goroutines, sends = 8, 4000
-	n := faultNet(t, 256)
-	n.SetLinkFaults(0, 0.3, 41)
-	costs := make([]Cost, goroutines)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < sends; i++ {
-				// Walk the senders so every stripe is hit from every goroutine.
-				from := Addr((g*31 + i) % 256)
-				if err := n.Send(from, Addr((i*7+g)%256), &costs[g], i%2 == 0); err != nil {
-					t.Errorf("goroutine %d send %d: %v", g, i, err)
-					return
+	const striped, sends = 8, 4000
+	const zeroValue, nilLedger = striped, striped + 1 // the two goroutines without a stripe
+	const goroutines = striped + 2
+	for _, dup := range []float64{0.3, 1} {
+		n := faultNet(t, 256)
+		n.SetLinkFaults(0, dup, 41)
+		ledgers := make([]*Cost, goroutines)
+		for g := range ledgers {
+			if g != nilLedger {
+				ledgers[g] = &Cost{}
+			}
+			if g < striped {
+				ledgers[g].UseStripe()
+			}
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < sends; i++ {
+					// Walk the senders so the address-striped goroutines hit
+					// every stripe, the ledger-striped ones' included.
+					from := Addr((g*31 + i) % 256)
+					if err := n.Send(from, Addr((i*7+g)%256), ledgers[g], i%2 == 0); err != nil {
+						t.Errorf("goroutine %d send %d: %v", g, i, err)
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		s := n.Stats()
+		if dup < 1 && (s.Duplicated == 0 || s.Duplicated == goroutines*sends) {
+			t.Fatalf("dup %g: duplicated = %d of %d sends: the rate did not take", dup, s.Duplicated, goroutines*sends)
+		}
+		if want := int64(goroutines*sends) + s.Duplicated; s.TotalMessages != want || n.TotalMessages() != want {
+			t.Fatalf("dup %g: TotalMessages = %d (Stats %d), want %d sends + %d duplicates = %d",
+				dup, n.TotalMessages(), s.TotalMessages, goroutines*sends, s.Duplicated, want)
+		}
+		var charged int64
+		for g, c := range ledgers {
+			if c == nil {
+				continue
+			}
+			m, h, _ := c.Snapshot()
+			// A duplicate is a message and never a hop.
+			if h != sends/2 || m < sends || m > 2*sends || (dup == 1 && m != 2*sends) {
+				t.Errorf("dup %g: ledger %d reads %s after %d sends, half of them hops", dup, g, c, sends)
+			}
+			charged += int64(m)
+			if c.stripe != 0 {
+				if got := n.sent[c.stripe-1].n.Load(); got < int64(m) {
+					t.Errorf("dup %g: ledger %d charged %d messages, its stripe %d counted %d", dup, g, m, c.stripe-1, got)
 				}
 			}
-		}(g)
-	}
-	wg.Wait()
-	s := n.Stats()
-	if s.Duplicated == 0 || s.Duplicated == goroutines*sends {
-		t.Fatalf("duplicated = %d of %d sends: the rate did not take", s.Duplicated, goroutines*sends)
-	}
-	if want := int64(goroutines*sends) + s.Duplicated; s.TotalMessages != want || n.TotalMessages() != want {
-		t.Fatalf("TotalMessages = %d (Stats %d), want %d sends + %d duplicates = %d",
-			n.TotalMessages(), s.TotalMessages, goroutines*sends, s.Duplicated, want)
-	}
-	var charged int64
-	for g := range costs {
-		charged += int64(costs[g].Messages())
-	}
-	if charged != s.TotalMessages {
-		t.Fatalf("per-op ledgers charged %d messages, network counted %d", charged, s.TotalMessages)
+		}
+		// What no ledger was charged is the nil sender's: its sends, and
+		// between none and all of them again.
+		unmetered := s.TotalMessages - charged
+		if unmetered < sends || unmetered > 2*sends || (dup == 1 && unmetered != 2*sends) {
+			t.Fatalf("dup %g: ledgers charged %d of %d messages, leaving %d for the nil sender's %d sends",
+				dup, charged, s.TotalMessages, unmetered, sends)
+		}
 	}
 }
 

@@ -56,28 +56,55 @@ func (e *sendError) Error() string {
 
 func (e *sendError) Unwrap() error { return ErrUnreachable }
 
-// Cost accumulates the expense of one logical operation (a lookup, a join,
-// a multicast...). A nil *Cost is valid everywhere and records nothing,
-// which keeps hot paths free of conditionals at call sites.
+// Cost is the ledger of one logical operation (a lookup, a join, a
+// multicast...): the messages, routing hops and metric distance it spent. A
+// nil *Cost is valid everywhere and records nothing, which keeps hot paths
+// free of conditionals at call sites.
 //
-// All counters are lock-free atomics — concurrent adders never contend on a
-// mutex — with the metric distance accumulated as a CAS loop over the
-// float64 bit pattern. Snapshot is consistent per field; when readers need a
-// single coherent triple they must quiesce the writers first, which every
-// caller in this repository does anyway (costs are read after the operation
-// completes).
+// Ownership rule: a ledger belongs to one operation and is touched by one
+// goroutine at a time. Its fields are plain — charging a message is three
+// ordinary adds, not three locked instructions — and there is no ledger two
+// goroutines may write at once: an operation that fans out gives each branch
+// its own ledger and Merges them when the branches have joined, the TCP
+// server keeps one per connection and ships it back in the reply header, and
+// the event engine resumes one operation at a time. (The counters were
+// atomics until every caller was found to follow the rule already: with the
+// atomics removed, `go test -race ./...` stayed green in every package; the
+// only failures were the two tests that shared one ledger between goroutines
+// on purpose.) What IS shared between operations — the network-wide message
+// count — lives on the Network, striped (see countSent).
 type Cost struct {
-	messages atomic.Int64
-	hops     atomic.Int64
-	distance atomic.Uint64 // float64 bit pattern
+	messages int
+	hops     int
+	distance float64
 
 	// Virtual-time stamps (event-driven backend only): the event clock at
 	// the op's first charged message and at its latest delivery. Their
 	// difference is the op's end-to-end latency in virtual time — something
 	// the direct-call backend cannot measure, because no time passes there.
-	vset   atomic.Bool
-	vbegin atomic.Uint64 // float64 bit pattern
-	vend   atomic.Uint64 // float64 bit pattern
+	vset   bool
+	vbegin float64
+	vend   float64
+
+	// stripe, when non-zero, is one more than the index of the Network
+	// counter stripe this ledger's messages are counted on (UseStripe); zero
+	// counts them by sender address. It is the ledger's identity, not part of
+	// its total: Reset keeps it and Merge does not carry it over.
+	stripe uint8
+}
+
+// nextStripe deals counter stripes to ledgers round-robin. It is touched when
+// a long-lived ledger is made (a pooled operation bundle's), never on the
+// message path.
+var nextStripe atomic.Uint32
+
+// UseStripe gives the ledger a counter stripe of its own, kept across Reset:
+// every message charged to it is counted on that one stripe of the Network
+// rather than on the sender's. An operation roams senders, but its ledger
+// stays with its goroutine, so the stripe's cache line does too. Worth it for
+// a ledger that is recycled across many operations; any ledger works without.
+func (c *Cost) UseStripe() {
+	c.stripe = uint8(nextStripe.Add(1)%sentStripes) + 1
 }
 
 // Add charges one message of the given distance; hop indicates whether the
@@ -87,25 +114,11 @@ func (c *Cost) Add(distance float64, hop bool) {
 	if c == nil {
 		return
 	}
-	c.messages.Add(1)
+	c.messages++
 	if hop {
-		c.hops.Add(1)
+		c.hops++
 	}
-	c.addDistance(distance)
-}
-
-// addDistance folds d into the running float64 total with a CAS loop.
-func (c *Cost) addDistance(d float64) {
-	if d == 0 {
-		return
-	}
-	for {
-		old := c.distance.Load()
-		next := math.Float64bits(math.Float64frombits(old) + d)
-		if c.distance.CompareAndSwap(old, next) {
-			return
-		}
-	}
+	c.distance += distance
 }
 
 // Charge adds a whole sub-total at once: what a peer's handler spent on the
@@ -114,19 +127,15 @@ func (c *Cost) Charge(messages, hops int, distance float64) {
 	if c == nil {
 		return
 	}
-	c.messages.Add(int64(messages))
-	c.hops.Add(int64(hops))
-	c.addDistance(distance)
+	c.messages += messages
+	c.hops += hops
+	c.distance += distance
 }
 
-// Reset zeroes c, so one Cost can meter request after request.
+// Reset zeroes c's totals, so one Cost can meter request after request. The
+// counter stripe, if it has one, stays.
 func (c *Cost) Reset() {
-	c.messages.Store(0)
-	c.hops.Store(0)
-	c.distance.Store(0)
-	c.vset.Store(false)
-	c.vbegin.Store(0)
-	c.vend.Store(0)
+	*c = Cost{stripe: c.stripe}
 }
 
 // Stamp records the event clock against the op: the first stamp fixes the
@@ -137,21 +146,21 @@ func (c *Cost) Stamp(t float64) {
 	if c == nil {
 		return
 	}
-	if c.vset.CompareAndSwap(false, true) {
-		c.vbegin.Store(math.Float64bits(t))
+	if !c.vset {
+		c.vset, c.vbegin = true, t
 	}
-	if math.Float64frombits(c.vend.Load()) < t {
-		c.vend.Store(math.Float64bits(t))
+	if c.vend < t {
+		c.vend = t
 	}
 }
 
 // VirtualSpan returns the op's virtual start and end times; ok is false when
 // the op never ran under an event engine (direct-call mode).
 func (c *Cost) VirtualSpan() (begin, end float64, ok bool) {
-	if c == nil || !c.vset.Load() {
+	if c == nil || !c.vset {
 		return 0, 0, false
 	}
-	return math.Float64frombits(c.vbegin.Load()), math.Float64frombits(c.vend.Load()), true
+	return c.vbegin, c.vend, true
 }
 
 // VirtualLatency returns the op's end-to-end latency in virtual time (zero
@@ -173,22 +182,19 @@ func (c *Cost) Merge(other *Cost) {
 	if begin, end, ok := other.VirtualSpan(); ok {
 		// Widen c's span rather than re-stamping: the sub-operation may have
 		// started before (or ended after) anything c has seen.
-		if c.vset.CompareAndSwap(false, true) {
-			c.vbegin.Store(math.Float64bits(begin))
-		} else if cur := math.Float64frombits(c.vbegin.Load()); begin < cur {
-			c.vbegin.Store(math.Float64bits(begin))
+		if !c.vset || begin < c.vbegin {
+			c.vset, c.vbegin = true, begin
 		}
 		c.Stamp(end)
 	}
 }
 
-// Snapshot returns (messages, hops, distance); each field is read
-// atomically.
+// Snapshot returns (messages, hops, distance).
 func (c *Cost) Snapshot() (messages, hops int, distance float64) {
 	if c == nil {
 		return 0, 0, 0
 	}
-	return int(c.messages.Load()), int(c.hops.Load()), math.Float64frombits(c.distance.Load())
+	return c.messages, c.hops, c.distance
 }
 
 // Messages returns the message count so far.
@@ -214,9 +220,9 @@ func (c *Cost) String() string {
 //
 // The layout keeps what every Send and Alive only READS (the first group)
 // off every cache line a Send WRITES: messages are counted in sentStripes
-// padded counters picked by sender address, so goroutines walking different
-// nodes neither bounce a shared counter line between cores nor evict the
-// fields their next Send must load.
+// padded counters picked by the operation's ledger (countSent), so goroutines
+// running different operations neither bounce a shared counter line between
+// cores nor evict the fields their next Send must load.
 type Network struct {
 	space metric.Space
 	size  int
@@ -256,7 +262,8 @@ type Network struct {
 	blocked    atomic.Int64 // messages refused across an active partition cut
 
 	// sent counts every charged message, duplicates included, striped by
-	// sender address; TotalMessages sums the stripes.
+	// ledger (by sender address for a ledger without a stripe); TotalMessages
+	// sums the stripes.
 	sent [sentStripes]sentStripe
 }
 
@@ -264,8 +271,9 @@ type Network struct {
 // prefetcher of current x86 parts pulls lines in aligned pairs.
 const cacheLine = 128
 
-// sentStripes is the number of message counters (a power of two: the stripe
-// is the low bits of the sender's address).
+// sentStripes is the number of message counters (a power of two: the fallback
+// stripe is the low bits of the sender's address; at most 255, since a ledger
+// names its stripe in a byte).
 const sentStripes = 64
 
 // sentStripe is one message counter alone on its cache line(s). The pad comes
@@ -275,9 +283,19 @@ type sentStripe struct {
 	n atomic.Int64
 }
 
-// countSent records one charged message sent from addr.
-func (n *Network) countSent(from Addr) {
-	n.sent[uint(from)%sentStripes].n.Add(1)
+// countSent records one charged message sent from addr on cost's stripe. A
+// ledger with a stripe of its own (UseStripe) counts every message of its
+// operation on one line, which stays in the cache of the core running it; by
+// sender address — the fallback for a nil or stripe-less ledger — an
+// operation that roams the mesh touches a different line at every hop. The
+// add stays atomic either way (stripes outnumber neither ledgers nor
+// senders), and it is the one locked instruction a message executes here.
+func (n *Network) countSent(from Addr, cost *Cost) {
+	stripe := uint(from)
+	if cost != nil && cost.stripe != 0 {
+		stripe = uint(cost.stripe - 1)
+	}
+	n.sent[stripe%sentStripes].n.Add(1)
 }
 
 // Stats is a snapshot of the network-wide message counters, including
@@ -514,7 +532,7 @@ func (n *Network) LiveCount() int {
 // resources). hop marks application-level routing hops; acknowledgments and
 // control chatter pass hop=false.
 func (n *Network) Send(from, to Addr, cost *Cost, hop bool) error {
-	n.countSent(from)
+	n.countSent(from, cost)
 	if n.load != nil {
 		n.load[to].Add(1)
 	}
@@ -552,7 +570,7 @@ func (n *Network) Send(from, to Addr, cost *Cost, hop bool) error {
 		// any other message, but is not a routing hop and adds no latency
 		// beyond the original.
 		n.duplicated.Add(1)
-		n.countSent(from)
+		n.countSent(from, cost)
 		if n.load != nil {
 			n.load[to].Add(1)
 		}
@@ -585,7 +603,7 @@ func (n *Network) RPC(from, to Addr, cost *Cost) error {
 }
 
 // TotalMessages returns the network-wide message count since construction:
-// the sum of the sender-striped counters. Exact once traffic has quiesced;
+// the sum of the striped counters. Exact once traffic has quiesced;
 // against concurrent senders each stripe is read atomically, like the other
 // Stats fields.
 func (n *Network) TotalMessages() int64 {

@@ -93,21 +93,40 @@ func TestCostMerge(t *testing.T) {
 	}
 }
 
-func TestCostConcurrent(t *testing.T) {
+// TestCostResetKeepsStripe pins what Reset is for: a recycled ledger meters
+// the next operation from zero, on the counter stripe it was given once.
+func TestCostResetKeepsStripe(t *testing.T) {
+	n := newNet()
+	n.Attach(0)
+	n.Attach(4)
 	var c Cost
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				c.Add(1, j%2 == 0)
-			}
-		}()
+	c.UseStripe()
+	stripe := c.stripe
+	if stripe == 0 || int(stripe) > sentStripes {
+		t.Fatalf("UseStripe gave stripe %d, want 1..%d", stripe, sentStripes)
 	}
-	wg.Wait()
-	if c.Messages() != 1600 || c.Hops() != 800 || c.Distance() != 1600 {
-		t.Errorf("concurrent accounting lost updates: %s", &c)
+	c.Stamp(2)
+	_ = n.Send(0, 4, &c, true)
+	c.Reset()
+	if m, h, d := c.Snapshot(); m != 0 || h != 0 || d != 0 {
+		t.Errorf("after Reset: %s", &c)
+	}
+	if _, _, ok := c.VirtualSpan(); ok {
+		t.Error("Reset kept the virtual span")
+	}
+	if c.stripe != stripe {
+		t.Errorf("Reset moved the ledger from stripe %d to %d", stripe, c.stripe)
+	}
+	_ = n.Send(0, 4, &c, true)
+	if got := n.sent[stripe-1].n.Load(); got != 2 {
+		t.Errorf("stripe %d counted %d of the ledger's 2 messages", stripe-1, got)
+	}
+	// The stripe names where a ledger counts, not what it counted: Merge
+	// leaves the receiver's alone.
+	var sum Cost
+	sum.Merge(&c)
+	if sum.stripe != 0 || sum.Messages() != 1 {
+		t.Errorf("Merge: stripe %d, %s", sum.stripe, &sum)
 	}
 }
 
@@ -174,26 +193,6 @@ func TestAddrBoundsPanic(t *testing.T) {
 	}
 	if n.LiveCount() != 0 {
 		t.Error("failed operations must not touch the live count")
-	}
-}
-
-// TestCostConcurrentDistance checks the CAS accumulation of the float64
-// distance: integral increments concurrently summed must land exactly.
-func TestCostConcurrentDistance(t *testing.T) {
-	var c Cost
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				c.Add(2.5, false)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := c.Distance(); got != 8*1000*2.5 {
-		t.Errorf("concurrent distance = %g, want %g", got, 8*1000*2.5)
 	}
 }
 

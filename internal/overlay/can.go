@@ -68,10 +68,10 @@ func (c *canProto) Build(addrs []netsim.Addr) ([]Handle, []int, error) {
 	return handles, costs, nil
 }
 
-func (c *canProto) Join(addr netsim.Addr) (Handle, *netsim.Cost, error) {
+func (c *canProto) Join(addr netsim.Addr) (Handle, netsim.Cost, error) {
 	c.opMu.Lock()
 	defer c.opMu.Unlock()
-	cost := &netsim.Cost{}
+	var cost netsim.Cost
 	live := c.members.snapshot()
 	if len(live) == 0 {
 		n, err := c.mesh.Bootstrap(addr)
@@ -83,41 +83,41 @@ func (c *canProto) Join(addr netsim.Addr) (Handle, *netsim.Cost, error) {
 		return h, cost, nil
 	}
 	gateway := live[c.rng.Intn(len(live))].(canHandle).n
-	n, cost, err := c.mesh.Join(gateway, addr, c.rng)
+	n, spent, err := c.mesh.Join(gateway, addr, c.rng)
 	if err != nil {
-		return nil, cost, err
+		return nil, *spent, err
 	}
 	h := canHandle{n}
 	c.members.add(h)
-	return h, cost, nil
+	return h, *spent, nil
 }
 
-func (c *canProto) Leave(h Handle) (*netsim.Cost, error) {
-	return &netsim.Cost{}, unsupported("can", "Leave")
+func (c *canProto) Leave(h Handle) (netsim.Cost, error) {
+	return netsim.Cost{}, unsupported("can", "Leave")
 }
 
 func (c *canProto) Fail(h Handle) error { return unsupported("can", "Fail") }
 
-func (c *canProto) Publish(h Handle, key string) (*netsim.Cost, error) {
-	cost := &netsim.Cost{}
+func (c *canProto) Publish(h Handle, key string) (netsim.Cost, error) {
+	var cost netsim.Cost
 	ch, ok := h.(canHandle)
 	if !ok {
 		return cost, errors.New("overlay: foreign handle")
 	}
-	return cost, ch.n.Publish(key, cost)
+	return cost, ch.n.Publish(key, &cost)
 }
 
-func (c *canProto) Unpublish(h Handle, key string) (*netsim.Cost, error) {
-	return &netsim.Cost{}, unsupported("can", "Unpublish")
+func (c *canProto) Unpublish(h Handle, key string) (netsim.Cost, error) {
+	return netsim.Cost{}, unsupported("can", "Unpublish")
 }
 
-func (c *canProto) Locate(h Handle, key string) (Result, *netsim.Cost) {
-	cost := &netsim.Cost{}
+func (c *canProto) Locate(h Handle, key string) (Result, netsim.Cost) {
+	var cost netsim.Cost
 	ch, ok := h.(canHandle)
 	if !ok {
 		return Result{}, cost
 	}
-	res := ch.n.Locate(key, cost)
+	res := ch.n.Locate(key, &cost)
 	if !res.Found {
 		return Result{}, cost
 	}
@@ -125,8 +125,8 @@ func (c *canProto) Locate(h Handle, key string) (Result, *netsim.Cost) {
 		ServerID: c.members.labelAt(res.Server), Hops: res.Hops}, cost
 }
 
-func (c *canProto) Maintain() (*netsim.Cost, error) {
-	return &netsim.Cost{}, unsupported("can", "Maintain")
+func (c *canProto) Maintain() (netsim.Cost, error) {
+	return netsim.Cost{}, unsupported("can", "Maintain")
 }
 
 func (c *canProto) TableSize(h Handle) int {

@@ -61,10 +61,10 @@ func (c *chordProto) Build(addrs []netsim.Addr) ([]Handle, []int, error) {
 	return handles, costs, nil
 }
 
-func (c *chordProto) Join(addr netsim.Addr) (Handle, *netsim.Cost, error) {
+func (c *chordProto) Join(addr netsim.Addr) (Handle, netsim.Cost, error) {
 	c.opMu.Lock()
 	defer c.opMu.Unlock()
-	cost := &netsim.Cost{}
+	var cost netsim.Cost
 	live := c.members.snapshot()
 	if len(live) == 0 {
 		n, err := c.ring.Bootstrap(chord.RandomID(c.rng), addr)
@@ -76,22 +76,22 @@ func (c *chordProto) Join(addr netsim.Addr) (Handle, *netsim.Cost, error) {
 		return h, cost, nil
 	}
 	gateway := live[c.rng.Intn(len(live))].(chordHandle).n
-	n, cost, err := c.ring.Join(gateway, chord.RandomID(c.rng), addr)
+	n, spent, err := c.ring.Join(gateway, chord.RandomID(c.rng), addr)
 	if err != nil {
-		return nil, cost, err
+		return nil, *spent, err
 	}
 	h := chordHandle{n}
 	c.members.add(h)
-	return h, cost, nil
+	return h, *spent, nil
 }
 
-func (c *chordProto) Leave(h Handle) (*netsim.Cost, error) {
-	cost := &netsim.Cost{}
+func (c *chordProto) Leave(h Handle) (netsim.Cost, error) {
+	var cost netsim.Cost
 	ch, ok := h.(chordHandle)
 	if !ok {
 		return cost, errors.New("overlay: foreign handle")
 	}
-	if err := ch.n.Leave(cost); err != nil {
+	if err := ch.n.Leave(&cost); err != nil {
 		return cost, err
 	}
 	c.members.remove(h)
@@ -110,26 +110,26 @@ func (c *chordProto) Fail(h Handle) error {
 
 func (c *chordProto) key(name string) uint64 { return chord.HashKey(name, c.seed) }
 
-func (c *chordProto) Publish(h Handle, key string) (*netsim.Cost, error) {
-	cost := &netsim.Cost{}
+func (c *chordProto) Publish(h Handle, key string) (netsim.Cost, error) {
+	var cost netsim.Cost
 	ch, ok := h.(chordHandle)
 	if !ok {
 		return cost, errors.New("overlay: foreign handle")
 	}
-	return cost, ch.n.Publish(c.key(key), cost)
+	return cost, ch.n.Publish(c.key(key), &cost)
 }
 
-func (c *chordProto) Unpublish(h Handle, key string) (*netsim.Cost, error) {
-	return &netsim.Cost{}, unsupported("chord", "Unpublish")
+func (c *chordProto) Unpublish(h Handle, key string) (netsim.Cost, error) {
+	return netsim.Cost{}, unsupported("chord", "Unpublish")
 }
 
-func (c *chordProto) Locate(h Handle, key string) (Result, *netsim.Cost) {
-	cost := &netsim.Cost{}
+func (c *chordProto) Locate(h Handle, key string) (Result, netsim.Cost) {
+	var cost netsim.Cost
 	ch, ok := h.(chordHandle)
 	if !ok {
 		return Result{}, cost
 	}
-	res := ch.n.Locate(c.key(key), cost)
+	res := ch.n.Locate(c.key(key), &cost)
 	if !res.Found {
 		return Result{}, cost
 	}
@@ -139,9 +139,9 @@ func (c *chordProto) Locate(h Handle, key string) (Result, *netsim.Cost) {
 
 // Maintain re-forms the ring among survivors (the fixed point of Chord's
 // iterative stabilization) and refreshes fingers.
-func (c *chordProto) Maintain() (*netsim.Cost, error) {
-	cost := &netsim.Cost{}
-	c.ring.Repair(cost)
+func (c *chordProto) Maintain() (netsim.Cost, error) {
+	var cost netsim.Cost
+	c.ring.Repair(&cost)
 	return cost, nil
 }
 

@@ -38,7 +38,7 @@ func (tr *confTrace) addf(format string, args ...interface{}) {
 	tr.lines = append(tr.lines, fmt.Sprintf(format, args...))
 }
 
-func costLine(c *netsim.Cost) string {
+func costLine(c netsim.Cost) string {
 	m, h, d := c.Snapshot()
 	return fmt.Sprintf("msgs=%d hops=%d dist=%.6f", m, h, d)
 }

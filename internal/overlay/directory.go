@@ -80,10 +80,10 @@ func (p *dirProto) Build(addrs []netsim.Addr) ([]Handle, []int, error) {
 	return handles, make([]int, len(addrs)), nil
 }
 
-func (p *dirProto) Join(addr netsim.Addr) (Handle, *netsim.Cost, error) {
+func (p *dirProto) Join(addr netsim.Addr) (Handle, netsim.Cost, error) {
 	p.opMu.Lock()
 	defer p.opMu.Unlock()
-	cost := &netsim.Cost{}
+	var cost netsim.Cost
 	if p.d == nil {
 		return nil, cost, errors.New("overlay: directory joins require a prior Build")
 	}
@@ -96,9 +96,9 @@ func (p *dirProto) Join(addr netsim.Addr) (Handle, *netsim.Cost, error) {
 	return h, cost, nil
 }
 
-func (p *dirProto) Leave(h Handle) (*netsim.Cost, error) {
-	cost := &netsim.Cost{}
-	if err := p.d.Deregister(h.Addr(), cost); err != nil {
+func (p *dirProto) Leave(h Handle) (netsim.Cost, error) {
+	var cost netsim.Cost
+	if err := p.d.Deregister(h.Addr(), &cost); err != nil {
 		return cost, err
 	}
 	p.net.Detach(h.Addr())
@@ -114,19 +114,19 @@ func (p *dirProto) Fail(h Handle) error {
 	return nil
 }
 
-func (p *dirProto) Publish(h Handle, key string) (*netsim.Cost, error) {
-	cost := &netsim.Cost{}
-	return cost, p.d.Publish(key, h.Addr(), cost)
+func (p *dirProto) Publish(h Handle, key string) (netsim.Cost, error) {
+	var cost netsim.Cost
+	return cost, p.d.Publish(key, h.Addr(), &cost)
 }
 
-func (p *dirProto) Unpublish(h Handle, key string) (*netsim.Cost, error) {
-	cost := &netsim.Cost{}
-	return cost, p.d.Withdraw(key, h.Addr(), cost)
+func (p *dirProto) Unpublish(h Handle, key string) (netsim.Cost, error) {
+	var cost netsim.Cost
+	return cost, p.d.Withdraw(key, h.Addr(), &cost)
 }
 
-func (p *dirProto) Locate(h Handle, key string) (Result, *netsim.Cost) {
-	cost := &netsim.Cost{}
-	res := p.d.Locate(h.Addr(), key, cost)
+func (p *dirProto) Locate(h Handle, key string) (Result, netsim.Cost) {
+	var cost netsim.Cost
+	res := p.d.Locate(h.Addr(), key, &cost)
 	if !res.Found {
 		return Result{}, cost
 	}
@@ -134,8 +134,8 @@ func (p *dirProto) Locate(h Handle, key string) (Result, *netsim.Cost) {
 		ServerID: p.members.labelAt(res.Server), Hops: res.Hops}, cost
 }
 
-func (p *dirProto) Maintain() (*netsim.Cost, error) {
-	return &netsim.Cost{}, unsupported("directory", "Maintain")
+func (p *dirProto) Maintain() (netsim.Cost, error) {
+	return netsim.Cost{}, unsupported("directory", "Maintain")
 }
 
 // TableSize is zero for clients: the directory concentrates all routing

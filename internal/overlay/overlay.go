@@ -9,7 +9,8 @@
 //
 // The vocabulary is deliberately small: a Protocol is built over a
 // netsim.Network, members are opaque Handles, every operation returns exact
-// *netsim.Cost accounting, and a Caps bitmask lets a protocol honestly
+// netsim.Cost accounting — by value: the ledger is the caller's own, on its
+// stack — and a Caps bitmask lets a protocol honestly
 // decline operations it has no sensible implementation of (CAN has no
 // graceful leave, Pastry's proximity tables are built from global knowledge
 // and cannot absorb dynamic joins, the directory has no soft-state epoch).
@@ -169,23 +170,23 @@ type Protocol interface {
 	Build(addrs []netsim.Addr) ([]Handle, []int, error)
 	// Join dynamically inserts one member (CapJoin). On an empty overlay it
 	// bootstraps instead of routing through a gateway.
-	Join(addr netsim.Addr) (Handle, *netsim.Cost, error)
+	Join(addr netsim.Addr) (Handle, netsim.Cost, error)
 	// Leave removes the member gracefully (CapLeave).
-	Leave(h Handle) (*netsim.Cost, error)
+	Leave(h Handle) (netsim.Cost, error)
 	// Fail kills the member without notice (CapFail).
 	Fail(h Handle) error
 
 	// Publish announces that member h stores a replica of the named object.
-	Publish(h Handle, key string) (*netsim.Cost, error)
+	Publish(h Handle, key string) (netsim.Cost, error)
 	// Unpublish withdraws h's replica of the named object (CapUnpublish).
-	Unpublish(h Handle, key string) (*netsim.Cost, error)
+	Unpublish(h Handle, key string) (netsim.Cost, error)
 	// Locate routes a query for the named object from h.
-	Locate(h Handle, key string) (Result, *netsim.Cost)
+	Locate(h Handle, key string) (Result, netsim.Cost)
 
 	// Maintain runs one stabilization / soft-state maintenance pass
 	// (CapMaintain): repair around failures, expire and republish soft
 	// state.
-	Maintain() (*netsim.Cost, error)
+	Maintain() (netsim.Cost, error)
 
 	// Handles returns the current live members in deterministic
 	// (insertion) order.

@@ -71,38 +71,38 @@ func (p *pastryProto) Build(addrs []netsim.Addr) ([]Handle, []int, error) {
 	return handles, make([]int, len(addrs)), nil
 }
 
-func (p *pastryProto) Join(addr netsim.Addr) (Handle, *netsim.Cost, error) {
-	return nil, &netsim.Cost{}, unsupported("pastry", "Join")
+func (p *pastryProto) Join(addr netsim.Addr) (Handle, netsim.Cost, error) {
+	return nil, netsim.Cost{}, unsupported("pastry", "Join")
 }
 
-func (p *pastryProto) Leave(h Handle) (*netsim.Cost, error) {
-	return &netsim.Cost{}, unsupported("pastry", "Leave")
+func (p *pastryProto) Leave(h Handle) (netsim.Cost, error) {
+	return netsim.Cost{}, unsupported("pastry", "Leave")
 }
 
 func (p *pastryProto) Fail(h Handle) error { return unsupported("pastry", "Fail") }
 
 func (p *pastryProto) key(name string) ids.ID { return p.spec.Hash(name) }
 
-func (p *pastryProto) Publish(h Handle, key string) (*netsim.Cost, error) {
-	cost := &netsim.Cost{}
+func (p *pastryProto) Publish(h Handle, key string) (netsim.Cost, error) {
+	var cost netsim.Cost
 	ph, ok := h.(pastryHandle)
 	if !ok {
 		return cost, errors.New("overlay: foreign handle")
 	}
-	return cost, ph.n.Publish(p.key(key), cost)
+	return cost, ph.n.Publish(p.key(key), &cost)
 }
 
-func (p *pastryProto) Unpublish(h Handle, key string) (*netsim.Cost, error) {
-	return &netsim.Cost{}, unsupported("pastry", "Unpublish")
+func (p *pastryProto) Unpublish(h Handle, key string) (netsim.Cost, error) {
+	return netsim.Cost{}, unsupported("pastry", "Unpublish")
 }
 
-func (p *pastryProto) Locate(h Handle, key string) (Result, *netsim.Cost) {
-	cost := &netsim.Cost{}
+func (p *pastryProto) Locate(h Handle, key string) (Result, netsim.Cost) {
+	var cost netsim.Cost
 	ph, ok := h.(pastryHandle)
 	if !ok {
 		return Result{}, cost
 	}
-	res := ph.n.Locate(p.key(key), cost)
+	res := ph.n.Locate(p.key(key), &cost)
 	if !res.Found {
 		return Result{}, cost
 	}
@@ -110,8 +110,8 @@ func (p *pastryProto) Locate(h Handle, key string) (Result, *netsim.Cost) {
 		ServerID: p.members.labelAt(res.Server), Hops: res.Hops}, cost
 }
 
-func (p *pastryProto) Maintain() (*netsim.Cost, error) {
-	return &netsim.Cost{}, unsupported("pastry", "Maintain")
+func (p *pastryProto) Maintain() (netsim.Cost, error) {
+	return netsim.Cost{}, unsupported("pastry", "Maintain")
 }
 
 func (p *pastryProto) TableSize(h Handle) int {

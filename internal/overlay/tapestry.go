@@ -111,10 +111,10 @@ func (t *tapestry) Build(addrs []netsim.Addr) ([]Handle, []int, error) {
 	return handles, costs, nil
 }
 
-func (t *tapestry) Join(addr netsim.Addr) (Handle, *netsim.Cost, error) {
+func (t *tapestry) Join(addr netsim.Addr) (Handle, netsim.Cost, error) {
 	t.opMu.Lock()
 	defer t.opMu.Unlock()
-	cost := &netsim.Cost{}
+	var cost netsim.Cost
 	id := t.mesh.Spec().Random(t.rng)
 	for t.mesh.NodeByID(id) != nil {
 		id = t.mesh.Spec().Random(t.rng)
@@ -125,7 +125,9 @@ func (t *tapestry) Join(addr netsim.Addr) (Handle, *netsim.Cost, error) {
 		n, err = t.mesh.Bootstrap(id, addr)
 	} else {
 		gateway := nodes[t.rng.Intn(len(nodes))]
-		n, cost, err = t.mesh.Join(gateway, id, addr)
+		var spent *netsim.Cost
+		n, spent, err = t.mesh.Join(gateway, id, addr)
+		cost = *spent
 	}
 	if err != nil {
 		return nil, cost, err
@@ -135,17 +137,17 @@ func (t *tapestry) Join(addr netsim.Addr) (Handle, *netsim.Cost, error) {
 	return h, cost, nil
 }
 
-func (t *tapestry) Leave(h Handle) (*netsim.Cost, error) {
+func (t *tapestry) Leave(h Handle) (netsim.Cost, error) {
 	// Serialized with Join/Build: an unserialized departure can kill the
 	// surrogate an in-flight join is multicasting through, failing the join.
 	t.opMu.Lock()
 	defer t.opMu.Unlock()
-	cost := &netsim.Cost{}
+	var cost netsim.Cost
 	n, ok := CoreNode(h)
 	if !ok {
 		return cost, errors.New("overlay: foreign handle")
 	}
-	if err := n.Leave(cost); err != nil {
+	if err := n.Leave(&cost); err != nil {
 		return cost, err
 	}
 	t.members.remove(h)
@@ -166,36 +168,36 @@ func (t *tapestry) Fail(h Handle) error {
 
 func (t *tapestry) guid(key string) ids.ID { return t.mesh.Spec().Hash(key) }
 
-func (t *tapestry) Publish(h Handle, key string) (*netsim.Cost, error) {
-	cost := &netsim.Cost{}
+func (t *tapestry) Publish(h Handle, key string) (netsim.Cost, error) {
+	var cost netsim.Cost
 	n, ok := CoreNode(h)
 	if !ok {
 		return cost, errors.New("overlay: foreign handle")
 	}
 	if t.mesh.Config().Replicas > 1 {
-		_, err := n.PublishReplicated(t.guid(key), cost)
+		_, err := n.PublishReplicated(t.guid(key), &cost)
 		return cost, err
 	}
-	return cost, n.Publish(t.guid(key), cost)
+	return cost, n.Publish(t.guid(key), &cost)
 }
 
-func (t *tapestry) Unpublish(h Handle, key string) (*netsim.Cost, error) {
-	cost := &netsim.Cost{}
+func (t *tapestry) Unpublish(h Handle, key string) (netsim.Cost, error) {
+	var cost netsim.Cost
 	n, ok := CoreNode(h)
 	if !ok {
 		return cost, errors.New("overlay: foreign handle")
 	}
-	n.Unpublish(t.guid(key), cost)
+	n.Unpublish(t.guid(key), &cost)
 	return cost, nil
 }
 
-func (t *tapestry) Locate(h Handle, key string) (Result, *netsim.Cost) {
-	cost := &netsim.Cost{}
+func (t *tapestry) Locate(h Handle, key string) (Result, netsim.Cost) {
+	var cost netsim.Cost
 	n, ok := CoreNode(h)
 	if !ok {
 		return Result{}, cost
 	}
-	res := n.Locate(t.guid(key), cost)
+	res := n.Locate(t.guid(key), &cost)
 	if !res.Found {
 		return Result{}, cost
 	}
@@ -218,10 +220,10 @@ func (t *tapestry) label(res core.LocateResult) string {
 // the churn experiments run between epochs. Both halves are batched: the
 // sweep probes each distinct neighbor once mesh-wide, and the republish
 // groups records per next hop (core/maintain.go).
-func (t *tapestry) Maintain() (*netsim.Cost, error) {
-	cost := &netsim.Cost{}
-	t.mesh.SweepDeadAll(cost)
-	t.mesh.RunMaintenanceEpoch(cost)
+func (t *tapestry) Maintain() (netsim.Cost, error) {
+	var cost netsim.Cost
+	t.mesh.SweepDeadAll(&cost)
+	t.mesh.RunMaintenanceEpoch(&cost)
 	return cost, nil
 }
 

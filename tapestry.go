@@ -159,7 +159,7 @@ type Cost struct {
 	Distance float64
 }
 
-func costOf(c *netsim.Cost) Cost {
+func costOf(c netsim.Cost) Cost {
 	m, h, d := c.Snapshot()
 	return Cost{Messages: m, Hops: h, Distance: d}
 }
@@ -604,7 +604,7 @@ func (n *Node) PublishLocal(name string) (Cost, error) {
 	}
 	var c netsim.Cost
 	err := n.inner.PublishLocal(n.nw.guid(name), &c)
-	return costOf(&c), err
+	return costOf(c), err
 }
 
 // Unpublish withdraws this node's replica of the named object. The
@@ -663,7 +663,7 @@ func (n *Node) LocateLocal(name string) (Result, Cost, bool) {
 	res, local := n.inner.LocateLocal(n.nw.guid(name), &c)
 	return Result{Found: res.Found, ServerID: res.Server.String(),
 		ServerAddr: int(res.ServerAddr), Hops: res.Hops,
-		FromCache: res.FromCache}, costOf(&c), local
+		FromCache: res.FromCache}, costOf(c), local
 }
 
 // Multicast contacts every overlay node whose identifier shares the first
@@ -687,7 +687,7 @@ func (n *Node) Multicast(prefixLen int, fn func(nodeID string)) (int, Cost, erro
 		}
 	}
 	reached, err := n.inner.AcknowledgedMulticast(n.inner.ID().Prefix(prefixLen), wrapped, &c)
-	return len(reached), costOf(&c), err
+	return len(reached), costOf(c), err
 }
 
 // Leave removes the node gracefully (two-phase voluntary delete, Section
